@@ -53,24 +53,48 @@ class InvalidationOrder:
     n_subpages: int = 1
 
 
-@dataclass(slots=True)
 class AccessCheck:
     """Outcome of the FBT consultation on an L2 virtual-cache miss.
 
-    ``slots=True``: allocated once per L2 miss, so it carries no
+    ``__slots__``: allocated once per L2 miss, so it carries no
     per-instance ``__dict__``.
     """
 
-    status: str  # "new_leading" | "leading" | "synonym"
-    entry: BTEntry
-    leading_asid: int
-    leading_vpn: int
-    # For synonyms: will the replay with the leading address hit in L2?
-    replay_hits_l2: bool = False
-    # Pages whose cached data must be invalidated before this access
-    # proceeds: BT set-conflict victims, and stale leading entries when a
-    # virtual page was remapped without an explicit shootdown.
-    invalidations: List[InvalidationOrder] = field(default_factory=list)
+    __slots__ = ("status", "entry", "leading_asid", "leading_vpn",
+                 "replay_hits_l2", "invalidations")
+
+    def __init__(
+        self,
+        status: str,  # "new_leading" | "leading" | "synonym"
+        entry: BTEntry,
+        leading_asid: int,
+        leading_vpn: int,
+        # For synonyms: will the replay with the leading address hit in L2?
+        replay_hits_l2: bool = False,
+        # Pages whose cached data must be invalidated before this access
+        # proceeds: BT set-conflict victims, and stale leading entries
+        # when a virtual page was remapped without an explicit shootdown.
+        invalidations: Optional[List[InvalidationOrder]] = None,
+    ) -> None:
+        self.status = status
+        self.entry = entry
+        self.leading_asid = leading_asid
+        self.leading_vpn = leading_vpn
+        self.replay_hits_l2 = replay_hits_l2
+        self.invalidations = [] if invalidations is None else invalidations
+
+    def _fields(self) -> tuple:
+        return tuple(getattr(self, name) for name in self.__slots__)
+
+    def __repr__(self) -> str:
+        fields = ", ".join(f"{name}={getattr(self, name)!r}"
+                           for name in self.__slots__)
+        return f"AccessCheck({fields})"
+
+    def __eq__(self, other: object) -> bool:
+        if other.__class__ is not self.__class__:
+            return NotImplemented
+        return self._fields() == other._fields()
 
 
 class ForwardBackwardTable:

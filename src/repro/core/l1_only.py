@@ -13,6 +13,12 @@ Synonym correctness at the L1 level is kept by an ASDT-style table
 (after Yoon & Sohi [52], the design §4 builds on): one entry per
 physical page with data in any L1, recording the unique leading virtual
 page.
+
+This module holds the hierarchy's state and its software-visible
+operations (shootdowns, counters).  The request path itself lives in
+one place, :func:`repro.system.fastpath.compile_l1only_access`: every
+build, instrumented or not, installs that closure as ``access``, and
+the closure inlines the ASDT operations defined here.
 """
 
 from __future__ import annotations
@@ -20,16 +26,15 @@ from __future__ import annotations
 from dataclasses import dataclass
 from typing import Dict, List, Optional, Tuple
 
-from repro.core.virtual_hierarchy import _ASID_SHIFT, page_key, split_page_key
+from repro.core.virtual_hierarchy import _ASID_SHIFT, page_key
 from repro.engine.resources import BankedServer
 from repro.engine.stats import Counters
-from repro.gpu.coalescer import CoalescedRequest
 from repro.memsys.addressing import lines_per_page
 from repro.memsys.cache import Cache
 from repro.memsys.dram import DRAM
 from repro.memsys.iommu import IOMMU
 from repro.memsys.page_table import PageTable
-from repro.memsys.permissions import PermissionFault, ReadWriteSynonymFault
+from repro.memsys.permissions import ReadWriteSynonymFault
 from repro.memsys.tlb import TLB
 from repro.system.config import SoCConfig
 
@@ -176,6 +181,12 @@ class L1OnlyVirtualHierarchy:
         if obs is not None:
             self.l2_banks.attach_delay_histogram(
                 obs.metrics.histogram("l2.bank_queue_delay"))
+        # The closure-compiled access path is this hierarchy's only one,
+        # instrumented or not: ``access(cu_id, request, now, asid=0)``
+        # returns the request's completion time (see fastpath).
+        from repro.system.fastpath import compile_l1only_access
+
+        self.access = compile_l1only_access(self)
 
     # -- counters ---------------------------------------------------------
     @property
@@ -207,147 +218,6 @@ class L1OnlyVirtualHierarchy:
         if self._n_l2_writebacks:
             counters.add("l2.writebacks", self._n_l2_writebacks)
             self._n_l2_writebacks = 0
-
-    # -- translation (per-CU TLB → IOMMU) ----------------------------------
-    def _translate(self, cu_id: int, vpn: int, now: float, asid: int):
-        tlb = self.per_cu_tlbs[cu_id]
-        self._n_tlb_accesses += 1
-        if self._timeline is not None:
-            self._timeline.record("tlb.probes", now)
-        key = (asid << 52) | vpn
-        # Inlined TLB.lookup (no lifetime tracker on per-CU TLBs): a
-        # last-translation micro-memo tag compare, falling back to the
-        # dict probe + LRU refresh, skipping the method dispatch.  The
-        # memo hit skips the refresh safely: the memoized key is MRU.
-        t = now + self.config.per_cu_tlb_latency
-        tracer = self._tracer
-        tracing = tracer is not None and tracer.enabled
-        if key == tlb._memo_key:
-            entry = tlb._memo_entry
-        else:
-            entries = tlb._entries
-            entry = entries.get(key)
-            if entry is not None:
-                entries.move_to_end(key)
-                tlb._memo_key = key
-                tlb._memo_entry = entry
-        if entry is not None:
-            tlb.hits += 1
-            if tracing:
-                tracer.emit("tlb.hit", t, cu=cu_id, vpn=vpn)
-            return t, entry.ppn, entry.permissions
-        tlb.misses += 1
-        self._n_tlb_misses += 1
-        if self._timeline is not None:
-            self._timeline.record("tlb.misses", t)
-        if tracing:
-            tracer.emit("tlb.miss", t, cu=cu_id, vpn=vpn)
-        request_at = t + self.config.interconnect.gpu_to_iommu
-        outcome = self.iommu.translate(vpn, request_at, asid=asid)
-        ready = outcome.finish + self.config.interconnect.iommu_to_gpu
-        tlb.insert(key, outcome.ppn, outcome.permissions, ready)
-        return ready, outcome.ppn, outcome.permissions
-
-    # -- the access path ------------------------------------------------------
-    def access(
-        self, cu_id: int, request: CoalescedRequest, now: float, asid: int = 0
-    ) -> float:
-        """Service one coalesced request; return its completion time."""
-        cfg = self.config
-        vline = request.line_addr
-        vpn = request.vpn
-        is_write = request.is_write
-        line_index = vline % self._lpp
-        l1 = self.l1s[cu_id]
-        self._n_accesses += 1
-        timeline = self._timeline
-        if timeline is not None:
-            timeline.record("vc.accesses", now)
-
-        key = (asid << _ASID_SHIFT) | vline
-        line = l1.lookup(key)
-        if line is not None and not is_write:
-            if not line.permissions._value_ & 1:
-                raise PermissionFault(vpn, False, line.permissions)
-            self._n_l1_hits += 1
-            if timeline is not None:
-                timeline.record("vc.l1_hits", now)
-            tracer = self._tracer
-            if tracer is not None and tracer.enabled:
-                tracer.emit("vc.l1_hit", now, cu=cu_id, vpn=vpn)
-            return now + cfg.l1_latency
-
-        # Everything else needs a physical address: L1 read misses and
-        # all writes (write-through to the physical L2).
-        ready, ppn, permissions, *_ = self._translate(cu_id, vpn, now, asid)
-        if not permissions._value_ & (2 if is_write else 1):
-            raise PermissionFault(vpn, is_write, permissions)
-        physical_line = ppn * self._lpp + line_index
-
-        if is_write:
-            if line is not None:
-                self._n_l1_hits += 1
-            self.asdt.note_write(asid, vpn, ppn)
-            return self._l2_write(physical_line, ready + cfg.l1_latency)
-
-        entry = self.asdt.check(asid, vpn, ppn, False)
-        lead_key = ((entry.leading_asid << _ASID_SHIFT)
-                    | (entry.leading_vpn * self._lpp + line_index))
-        if lead_key != key:
-            # Synonym: the data, if present, is cached under the leading
-            # virtual address; replay there.
-            self._n_synonym_replays += 1
-            replayed = l1.lookup(lead_key)
-            if replayed is not None:
-                self._n_l1_hits += 1
-                return ready + cfg.l1_latency
-            key = lead_key
-            asid, vpn = entry.leading_asid, entry.leading_vpn
-
-        completion = self._l2_read(physical_line, ready)
-        self._fill_l1(cu_id, asid, vpn, key, ppn, permissions)
-        return completion
-
-    def _l2_write(self, physical_line: int, now: float) -> float:
-        cfg = self.config
-        t_l2 = now + cfg.interconnect.l1_to_l2
-        start = self.l2_banks.banks[self.l2.bank_of(physical_line)].request(t_l2)
-        t_done = start + cfg.l2_latency
-        if self.l2.lookup(physical_line) is not None:
-            self.l2.mark_dirty(physical_line)
-            return t_done
-        victim = self.l2.insert(physical_line, dirty=True)
-        if victim is not None and victim.dirty:
-            self.dram.access_line(start)
-            self._n_l2_writebacks += 1
-        return t_done
-
-    def _l2_read(self, physical_line: int, now: float) -> float:
-        cfg = self.config
-        t_l2 = now + cfg.l1_latency + cfg.interconnect.l1_to_l2
-        start = self.l2_banks.banks[self.l2.bank_of(physical_line)].request(t_l2)
-        t_hit = start + cfg.l2_latency
-        if self.l2.lookup(physical_line) is not None:
-            self._n_l2_hits += 1
-            return t_hit + cfg.interconnect.l1_to_l2
-        t_mem = self.dram.access_line(t_hit)
-        victim = self.l2.insert(physical_line)
-        if victim is not None and victim.dirty:
-            self.dram.access_line(t_mem)
-            self._n_l2_writebacks += 1
-        return t_mem + cfg.interconnect.l1_to_l2
-
-    def _fill_l1(
-        self, cu_id: int, asid: int, vpn: int, key: int, ppn: int, permissions
-    ) -> None:
-        victim = self.l1s[cu_id].insert(key, permissions=permissions,
-                                        page=page_key(asid, vpn))
-        if victim is not None and victim.page is not None:
-            v_asid, v_vpn = split_page_key(victim.page)
-            victim_ppn = self.asdt.ppn_of_leading(v_asid, v_vpn)
-            if victim_ppn is not None:
-                self.asdt.on_evict(victim_ppn)
-        self.asdt.on_fill(ppn)
 
     # -- software-visible operations ----------------------------------------
     def shootdown(self, asid: int, vpn: int, now: float = 0.0) -> bool:

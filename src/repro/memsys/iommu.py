@@ -62,24 +62,51 @@ class IOMMUConfig:
             raise ValueError("bank_select must be 'low' or 'high'")
 
 
-@dataclass(slots=True)
 class TranslationOutcome:
     """A completed translation, with timing and provenance.
 
-    ``slots=True``: one outcome is allocated per IOMMU translation —
-    the whole-hierarchy-miss hot path — so it carries no per-instance
+    ``__slots__``: one outcome is allocated per IOMMU translation — the
+    whole-hierarchy-miss hot path — so it carries no per-instance
     ``__dict__``.
     """
 
-    vpn: int
-    ppn: int
-    permissions: Permissions
-    source: str  # "shared_tlb" | "fbt" | "walk"
-    arrival: float
-    finish: float
-    is_large: bool = False
-    large_base_vpn: int = 0
-    large_base_ppn: int = 0
+    __slots__ = ("vpn", "ppn", "permissions", "source", "arrival", "finish",
+                 "is_large", "large_base_vpn", "large_base_ppn")
+
+    def __init__(
+        self,
+        vpn: int,
+        ppn: int,
+        permissions: Permissions,
+        source: str,  # "shared_tlb" | "fbt" | "walk"
+        arrival: float,
+        finish: float,
+        is_large: bool = False,
+        large_base_vpn: int = 0,
+        large_base_ppn: int = 0,
+    ) -> None:
+        self.vpn = vpn
+        self.ppn = ppn
+        self.permissions = permissions
+        self.source = source
+        self.arrival = arrival
+        self.finish = finish
+        self.is_large = is_large
+        self.large_base_vpn = large_base_vpn
+        self.large_base_ppn = large_base_ppn
+
+    def _fields(self) -> tuple:
+        return tuple(getattr(self, name) for name in self.__slots__)
+
+    def __repr__(self) -> str:
+        fields = ", ".join(f"{name}={getattr(self, name)!r}"
+                           for name in self.__slots__)
+        return f"TranslationOutcome({fields})"
+
+    def __eq__(self, other: object) -> bool:
+        if other.__class__ is not self.__class__:
+            return NotImplemented
+        return self._fields() == other._fields()
 
     @property
     def latency(self) -> float:

@@ -9,22 +9,28 @@ thousands of Python-level attribute walks (``self.config.interconnect
 a closure whose free variables are the hot structures themselves — the
 per-CU TLB list, the raw cache sets, the L2 bank servers, the DRAM
 link's bound ``request`` — and whose latencies are plain local floats.
+There are three closures, one per hierarchy kind, and all three share
+one DRAM-transfer closure (:func:`_compile_dram_line`).
 
-Three rules keep the compiled path bit-identical to the method path
-(the golden hot-path test pins every counter *and* the cycle count):
+Three rules keep each compiled path bit-identical to the model it
+implements (the golden hot-path test pins every counter *and* the
+cycle count):
 
 * counters are attributed in exactly the same order and on exactly the
-  same events as the methods they replace;
+  same events as the structures' own methods;
 * LRU state is touched identically (probe → ``move_to_end`` on hit,
   ``popitem(last=False)`` on eviction);
 * evicted victim lines are *recycled* in place of allocating a fresh
   ``CacheLine`` — same field values, same dict ordering, one object
   allocation less per fill.
 
-A compiled path is only installed when the hierarchy is built without
-observability and without lifetime tracking; any instrumented build
-keeps the plain methods, which remain the single source of truth for
-the semantics.
+Where the closure runs differs by hierarchy.  For L1-only virtual
+caching (:func:`compile_l1only_access`) the closure is the *only* access
+path: every build installs it, and it carries its own instrumentation
+hooks, decided once at build time.  The physical and whole-hierarchy
+virtual closures are installed only when the hierarchy is built without
+observability (and, for the physical one, without lifetime tracking);
+instrumented builds of those two keep their ``access`` methods.
 """
 
 from __future__ import annotations
@@ -35,11 +41,49 @@ from repro.memsys.cache import CacheLine
 from repro.memsys.permissions import PageFault, PermissionFault, Permissions
 
 __all__ = [
+    "compile_l1only_access",
     "compile_physical_access",
     "compile_virtual_access",
 ]
 
 _RW = Permissions.READ_WRITE
+
+
+def _compile_dram_line(dram):
+    """Build the one-line DRAM transfer shared by every access closure.
+
+    The closure is ``DRAM.access_line`` → ``BandwidthLink.request``
+    inlined, with the link's constants captured as locals.
+    """
+    link = dram._link
+    line_size = dram.line_size
+    link_wc = link.WINDOW_CYCLES
+    link_bpc = link.bytes_per_cycle
+    link_inf = link_bpc == float("inf")
+    link_latency = link.latency
+    link_transfer = 0.0 if link_inf else line_size / link_bpc
+    link_cap = float("inf") if link_inf else link_wc * link_bpc
+
+    def dram_line(now):
+        link.total_requests += 1
+        link.total_bytes += line_size
+        if link_inf:
+            return now + link_latency
+        w = int(now // link_wc)
+        if w > link._window_index:
+            link._window_index = w
+            wbytes = 0.0 + line_size
+        else:
+            wbytes = link._window_bytes + line_size
+        link._window_bytes = wbytes
+        overflow = wbytes - link_cap
+        if overflow > 0:
+            delay = overflow / link_bpc
+            link.total_queue_delay += delay
+            return now + delay + link_transfer + link_latency
+        return now + link_transfer + link_latency
+
+    return dram_line
 
 
 def compile_physical_access(h):
@@ -63,7 +107,6 @@ def compile_physical_access(h):
     l2_bank_mask = l2._bank_mask
     l2_ways = h.config.l2.associativity
     banks = h.l2_banks.banks
-    line_size = h.dram.line_size
     lpp = h._lpp
     cfg = h.config
     tlb_latency = cfg.per_cu_tlb_latency
@@ -101,34 +144,7 @@ def compile_physical_access(h):
     window_cycles = banks[0].WINDOW_CYCLES
     l2_rate = banks[0].rate
     l2_cap = window_cycles * l2_rate
-    # DRAM link constants for the inlined ``BandwidthLink.request``.
-    link = h.dram._link
-    link_wc = link.WINDOW_CYCLES
-    link_bpc = link.bytes_per_cycle
-    link_inf = link_bpc == float("inf")
-    link_latency = link.latency
-    link_transfer = 0.0 if link_inf else line_size / link_bpc
-    link_cap = float("inf") if link_inf else link_wc * link_bpc
-
-    def dram_line(now):
-        # Inlined one-line ``BandwidthLink.request`` (see resources.py).
-        link.total_requests += 1
-        link.total_bytes += line_size
-        if link_inf:
-            return now + link_latency
-        w = int(now // link_wc)
-        if w > link._window_index:
-            link._window_index = w
-            wbytes = 0.0 + line_size
-        else:
-            wbytes = link._window_bytes + line_size
-        link._window_bytes = wbytes
-        overflow = wbytes - link_cap
-        if overflow > 0:
-            delay = overflow / link_bpc
-            link.total_queue_delay += delay
-            return now + delay + link_transfer + link_latency
-        return now + link_transfer + link_latency
+    dram_line = _compile_dram_line(h.dram)
 
     def access(cu_id, request, now, asid=0):
         vpn = request.vpn
@@ -429,35 +445,7 @@ def compile_virtual_access(h):
     window_cycles = banks[0].WINDOW_CYCLES
     l2_rate = banks[0].rate
     l2_cap = window_cycles * l2_rate
-    # DRAM link constants for the inlined ``BandwidthLink.request``.
-    link = h.dram._link
-    line_size = h.dram.line_size
-    link_wc = link.WINDOW_CYCLES
-    link_bpc = link.bytes_per_cycle
-    link_inf = link_bpc == float("inf")
-    link_latency = link.latency
-    link_transfer = 0.0 if link_inf else line_size / link_bpc
-    link_cap = float("inf") if link_inf else link_wc * link_bpc
-
-    def dram_line(now):
-        # Inlined ``DRAM.access_line`` → ``BandwidthLink.request``.
-        link.total_requests += 1
-        link.total_bytes += line_size
-        if link_inf:
-            return now + link_latency
-        w = int(now // link_wc)
-        if w > link._window_index:
-            link._window_index = w
-            wbytes = 0.0 + line_size
-        else:
-            wbytes = link._window_bytes + line_size
-        link._window_bytes = wbytes
-        overflow = wbytes - link_cap
-        if overflow > 0:
-            delay = overflow / link_bpc
-            link.total_queue_delay += delay
-            return now + delay + link_transfer + link_latency
-        return now + link_transfer + link_latency
+    dram_line = _compile_dram_line(h.dram)
 
     # Compiled twins of ``_fill_l1`` / ``_fill_l2`` (same recycling
     # semantics, free variables instead of ``self.`` walks).  The bail
@@ -788,6 +776,334 @@ def compile_virtual_access(h):
         t_mem = dram_line(t_fbt)
         fill_l2(asid, vpn, line_index, ppn, False, permissions, t_mem)
         fill_l1(cu_id, asid, vpn, key, permissions)
+        return t_mem + l1_to_l2
+
+    return access
+
+
+def compile_l1only_access(h):
+    """Build the ``access`` closure for an :class:`L1OnlyVirtualHierarchy`.
+
+    This is the hierarchy's only access path: it is installed on every
+    build, so instrumentation is decided here, once.  The timeline and
+    tracer hooks are captured ``None`` checks, an instrumented IOMMU
+    keeps ``translate_parts``, and L2 banks that carry a delay histogram
+    keep ``WindowedServer.request``.  The four ASDT operations
+    (``check``, ``note_write``, ``on_fill``, ``on_evict``) are inlined
+    on the ASDT's own dicts.
+    """
+    from repro.core.l1_only import ASDTEntry
+
+    cfg = h.config
+    per_cu_tlbs = h.per_cu_tlbs
+    l1s = h.l1s
+    l1_set_mask = l1s[0]._set_mask if l1s else 0
+    l1_ways = cfg.l1.associativity
+    l2 = h.l2
+    l2_sets = l2._sets
+    l2_set_mask = l2._set_mask
+    l2_ways = cfg.l2.associativity
+    banks = h.l2_banks.banks
+    # ``%`` equals the bank mask for power-of-two bank counts, and is
+    # ``Cache.bank_of``'s own fallback for the rest.
+    n_banks = len(banks)
+    lpp = h._lpp
+    pkey_mask = (1 << 52) - 1
+    tlb_latency = cfg.per_cu_tlb_latency
+    l1_latency = cfg.l1_latency
+    l2_latency = cfg.l2_latency
+    l1_to_l2 = cfg.interconnect.l1_to_l2
+    gpu_to_iommu = cfg.interconnect.gpu_to_iommu
+    iommu_to_gpu = cfg.interconnect.iommu_to_gpu
+    asdt = h.asdt
+    asdt_by_ppn = asdt._by_ppn
+    asdt_by_leading = asdt._by_leading
+    timeline = h._timeline
+    tracer = h._tracer
+    if tracer is not None and not tracer.enabled:
+        tracer = None
+    # IOMMU constants for the inlined ``translate_parts`` prologue +
+    # shared-TLB probe (the shared-TLB-miss tail keeps the
+    # ``_translate_miss_parts`` method).  An instrumented IOMMU
+    # (histograms/timeline/tracer/lifetimes) keeps the full method.
+    iommu = h.iommu
+    iommu_translate_parts = iommu.translate_parts
+    stlb = iommu.shared_tlb
+    iommu_inline = (iommu._queue_hist is None and iommu._timeline is None
+                    and iommu._tracer is None
+                    and iommu._translate_hist is None
+                    and stlb.lifetimes is None)
+    sampler = iommu.access_sampler
+    sampler_ic = sampler.interval_cycles
+    scounts = sampler._window_counts
+    stlb_entries = stlb._entries
+    iommu_unlimited = iommu.unlimited_bandwidth
+    port_banks = iommu._port_banks
+    n_port_banks = iommu._n_port_banks
+    bank_low = iommu._bank_select_low
+    port_request = iommu.port.request
+    iommu_tlb_latency = iommu._tlb_latency
+    iommu_translate_miss = iommu._translate_miss_parts
+    # Windowed-server accounting constants for the inlined bank request
+    # (all banks share one rate); banks with a delay histogram keep the
+    # method, which records into it.
+    banks_inline = all(bank.delay_histogram is None for bank in banks)
+    window_cycles = banks[0].WINDOW_CYCLES
+    l2_rate = banks[0].rate
+    l2_cap = window_cycles * l2_rate
+    dram_line = _compile_dram_line(h.dram)
+
+    def access(cu_id, request, now, asid=0):
+        vline = request.line_addr
+        vpn = request.vpn
+        is_write = request.is_write
+        h._n_accesses += 1
+        if timeline is not None:
+            timeline.record("vc.accesses", now)
+        key = (asid << 52) | vline
+        l1 = l1s[cu_id]
+        l1_set = l1._sets[key & l1_set_mask]
+        line = l1_set.get(key)
+        if line is not None:
+            l1_set.move_to_end(key)
+            l1.hits += 1
+            if not is_write:
+                if not line.permissions._value_ & 1:
+                    raise PermissionFault(vpn, False, line.permissions)
+                h._n_l1_hits += 1
+                if timeline is not None:
+                    timeline.record("vc.l1_hits", now)
+                if tracer is not None:
+                    tracer.emit("vc.l1_hit", now, cu=cu_id, vpn=vpn)
+                return now + l1_latency
+        else:
+            l1.misses += 1
+
+        # Everything else needs a physical address: L1 read misses and
+        # all writes (write-through to the physical L2).  Per-CU TLB
+        # first (no lifetime tracker: memo tag compare, then the probe).
+        h._n_tlb_accesses += 1
+        if timeline is not None:
+            timeline.record("tlb.probes", now)
+        tlb = per_cu_tlbs[cu_id]
+        tkey = (asid << 52) | vpn
+        t = now + tlb_latency
+        if tkey == tlb._memo_key:
+            entry = tlb._memo_entry
+            tlb.hits += 1
+        else:
+            entries = tlb._entries
+            entry = entries.get(tkey)
+            if entry is not None:
+                entries.move_to_end(tkey)
+                tlb.hits += 1
+                tlb._memo_key = tkey
+                tlb._memo_entry = entry
+        if entry is not None:
+            if tracer is not None:
+                tracer.emit("tlb.hit", t, cu=cu_id, vpn=vpn)
+            ppn = entry.ppn
+            permissions = entry.permissions
+            ready = t
+        else:
+            tlb.misses += 1
+            h._n_tlb_misses += 1
+            if timeline is not None:
+                timeline.record("tlb.misses", t)
+            if tracer is not None:
+                tracer.emit("tlb.miss", t, cu=cu_id, vpn=vpn)
+            t_iommu = t + gpu_to_iommu
+            if iommu_inline:
+                # Inlined ``IOMMU.translate_parts`` prologue + shared-TLB
+                # probe; the per-CU TLB key doubles as the shared-TLB key.
+                window = int(t_iommu // sampler_ic)
+                scounts[window] = scounts.get(window, 0) + 1
+                if window > sampler._max_window:
+                    sampler._max_window = window
+                iommu._n_accesses += 1
+                iommu._ever_translated = True
+                if iommu_unlimited:
+                    service_start = t_iommu
+                elif port_banks is not None:
+                    if bank_low:
+                        service_start = port_banks[
+                            vpn % n_port_banks].request(t_iommu)
+                    else:
+                        service_start = port_banks[
+                            (vpn >> 9) % n_port_banks].request(t_iommu)
+                else:
+                    service_start = port_request(t_iommu)
+                iommu.queue_cycles += service_start - t_iommu
+                t_tr = service_start + iommu_tlb_latency
+                if tkey == stlb._memo_key:
+                    stlb.hits += 1
+                    sentry = stlb._memo_entry
+                else:
+                    sentry = stlb_entries.get(tkey)
+                    if sentry is None:
+                        stlb.misses += 1
+                    else:
+                        stlb_entries.move_to_end(tkey)
+                        stlb.hits += 1
+                        stlb._memo_key = tkey
+                        stlb._memo_entry = sentry
+                if sentry is not None:
+                    iommu._n_tlb_hits += 1
+                    ppn = sentry.ppn
+                    permissions = sentry.permissions
+                    finish = t_tr
+                else:
+                    ppn, permissions, finish, _, _, _, _ = (
+                        iommu_translate_miss(tkey, vpn, t_tr, t_iommu, asid))
+            else:
+                ppn, permissions, finish, _, _, _, _ = (
+                    iommu_translate_parts(vpn, t_iommu, asid))
+            ready = finish + iommu_to_gpu
+            tlb.insert(tkey, ppn, permissions, ready)
+        if not permissions._value_ & (2 if is_write else 1):
+            raise PermissionFault(vpn, is_write, permissions)
+        line_index = vline % lpp
+        physical_line = ppn * lpp + line_index
+
+        if is_write:
+            if line is not None:
+                h._n_l1_hits += 1
+            # Inlined ``ASDT.note_write``: writes to untracked pages
+            # allocate nothing (a write-through L1 holds no dirty copy).
+            aentry = asdt_by_ppn.get(ppn)
+            if aentry is not None:
+                if aentry.leading_asid != asid or aentry.leading_vpn != vpn:
+                    asdt.synonym_accesses += 1
+                    if asdt.fault_on_rw_synonym:
+                        raise ReadWriteSynonymFault(
+                            ppn, aentry.leading_vpn, vpn)
+                aentry.written = True
+        else:
+            # Inlined ``ASDT.check``: establish or verify the leading page.
+            aentry = asdt_by_ppn.get(ppn)
+            if aentry is None:
+                aentry = ASDTEntry(ppn, asid, vpn)
+                asdt_by_ppn[ppn] = aentry
+                asdt_by_leading[(asid, vpn)] = ppn
+            elif aentry.leading_asid != asid or aentry.leading_vpn != vpn:
+                asdt.synonym_accesses += 1
+                if asdt.fault_on_rw_synonym and aentry.written:
+                    raise ReadWriteSynonymFault(ppn, aentry.leading_vpn, vpn)
+            lead_asid = aentry.leading_asid
+            lead_vpn = aentry.leading_vpn
+            lead_key = (lead_asid << 52) | (lead_vpn * lpp + line_index)
+            if lead_key != key:
+                # Synonym: the data, if present, is cached under the
+                # leading virtual address; replay there.
+                h._n_synonym_replays += 1
+                if l1.lookup(lead_key) is not None:
+                    h._n_l1_hits += 1
+                    return ready + l1_latency
+                key = lead_key
+                asid = lead_asid
+                vpn = lead_vpn
+                l1_set = l1._sets[key & l1_set_mask]
+
+        # The banked physical L2: a write-through store occupies the CU
+        # window until it lands there; a read continues to DRAM on a miss.
+        server = banks[physical_line % n_banks]
+        start = ready + l1_latency + l1_to_l2
+        if banks_inline:
+            # Inlined ``WindowedServer.request`` (see resources.py).
+            server.total_requests += 1
+            w = int(start // window_cycles)
+            wi = server._window_index
+            if w > wi:
+                server._window_index = w
+                count = 1.0
+                server._window_count = count
+            else:
+                if w < wi:
+                    start = wi * window_cycles
+                count = server._window_count + 1.0
+                server._window_count = count
+            overflow = count - l2_cap
+            if overflow > 0.0:
+                delay = overflow / l2_rate
+                server.total_queue_delay += delay
+                start += delay
+        else:
+            start = server.request(start)
+        t_mem = start + l2_latency
+        l2_set = l2_sets[physical_line & l2_set_mask]
+        l2_line = l2_set.get(physical_line)
+        if l2_line is not None:
+            l2_set.move_to_end(physical_line)
+            l2.hits += 1
+            if is_write:
+                l2_line.dirty = True
+                return t_mem
+            h._n_l2_hits += 1
+        else:
+            l2.misses += 1
+            if is_write:
+                # Write-allocate, full-line store: no memory fetch, and a
+                # dirty victim is written back from the service start.
+                t_victim = start
+            else:
+                t_mem = t_victim = dram_line(t_mem)
+            if len(l2_set) >= l2_ways:
+                _, victim = l2_set.popitem(last=False)
+                if victim.dirty:
+                    dram_line(t_victim)  # write-back traffic
+                    h._n_l2_writebacks += 1
+                if victim.page is not None:
+                    l2._forget_page_line(victim)
+                    victim.page = None
+                victim.line_addr = physical_line
+                victim.dirty = is_write
+                victim.permissions = _RW
+                l2_set[physical_line] = victim
+            else:
+                l2_set[physical_line] = CacheLine(physical_line, is_write)
+                l2._n_resident += 1
+            if is_write:
+                return t_mem
+
+        # Fill the virtual L1 under the (leading) key; it missed, so it
+        # is not resident.  An evicted line releases its page's ASDT
+        # entry (inlined ``ppn_of_leading`` + ``ASDT.on_evict``).
+        pkey = (asid << 52) | vpn
+        page_lines = l1._page_lines
+        if len(l1_set) >= l1_ways:
+            _, victim = l1_set.popitem(last=False)
+            victim_page = victim.page
+            if victim_page is not None:
+                remaining = page_lines.get(victim_page, 0) - 1
+                if remaining > 0:
+                    page_lines[victim_page] = remaining
+                else:
+                    page_lines.pop(victim_page, None)
+                victim_ppn = asdt_by_leading.get(
+                    (victim_page >> 52, victim_page & pkey_mask))
+                if victim_ppn is not None:
+                    ventry = asdt_by_ppn.get(victim_ppn)
+                    if ventry is not None:
+                        ventry.resident_lines -= 1
+                        if ventry.resident_lines <= 0:
+                            del asdt_by_ppn[victim_ppn]
+                            asdt_by_leading.pop(
+                                (ventry.leading_asid, ventry.leading_vpn),
+                                None)
+            victim.line_addr = key
+            victim.dirty = False
+            victim.permissions = permissions
+            victim.page = pkey
+            l1_set[key] = victim
+        else:
+            l1_set[key] = CacheLine(key, False, permissions, pkey)
+            l1._n_resident += 1
+        page_lines[pkey] = page_lines.get(pkey, 0) + 1
+        # Inlined ``ASDT.on_fill`` (the eviction above may have dropped
+        # this very page's entry).
+        aentry = asdt_by_ppn.get(ppn)
+        if aentry is not None:
+            aentry.resident_lines += 1
         return t_mem + l1_to_l2
 
     return access

@@ -26,7 +26,7 @@ from repro.obs import (
     load_manifest,
     write_manifest,
 )
-from repro.system.designs import BASELINE_512, VC_WITH_OPT
+from repro.system.designs import BASELINE_512, L1_ONLY_VC_32, VC_WITH_OPT
 from repro.system.run import simulate
 from repro.workloads.trace import MemoryInstruction, Trace
 
@@ -42,6 +42,31 @@ def sequential_trace(space, n_pages=16, accesses=150, n_cus=2):
         ])
     return Trace(name="seq", per_cu=per_cu, address_space=space,
                  issue_interval=4.0)
+
+
+def reuse_trace(space, n_pages=12, rounds=6, n_cus=2):
+    """Repeated sweeps with some stores: L1 hits, TLB hits and misses."""
+    m = space.mmap(n_pages)
+    per_cu = []
+    for cu in range(n_cus):
+        per_cu.append([
+            MemoryInstruction(
+                addresses=(m.base_va + ((cu * 4096 + i * 640) % m.size_bytes),),
+                is_write=i % 5 == 0)
+            for _ in range(rounds) for i in range(40)
+        ])
+    return Trace(name="reuse", per_cu=per_cu, address_space=space,
+                 issue_interval=4.0)
+
+
+def run_l1_only(small_config, obs=None):
+    space = AddressSpace(asid=0)
+    trace = reuse_trace(space)
+    hierarchy = L1_ONLY_VC_32.build(small_config, {0: space.page_table},
+                                    obs=obs)
+    result = simulate(trace, hierarchy, small_config,
+                      design=L1_ONLY_VC_32.name)
+    return result, hierarchy
 
 
 def run_baseline(small_config, obs=None, design=BASELINE_512, **kwargs):
@@ -312,6 +337,45 @@ class TestSimulationWithObservability:
                               obs=Observability(tracer=RecordingTracer()))
         assert plain.cycles == traced.cycles
         assert plain.counters == traced.counters
+
+    def test_l1_only_results_bit_identical_with_tracing_off_vs_on(
+            self, small_config):
+        plain, _ = run_l1_only(small_config)
+        obs = Observability(tracer=RecordingTracer())
+        obs.metrics.enable_timeline()
+        traced, _ = run_l1_only(small_config, obs=obs)
+        assert plain.cycles == traced.cycles
+        assert plain.counters == traced.counters
+        assert plain.requests == traced.requests
+
+    def test_instrumented_l1_only_runs_the_compiled_path(self, small_config):
+        tracer = RecordingTracer()
+        obs = Observability(tracer=tracer)
+        timeline = obs.metrics.enable_timeline()
+        result, hierarchy = run_l1_only(small_config, obs=obs)
+        # One access path: the closure, even with obs attached.
+        assert hierarchy.access.__qualname__ == \
+            "compile_l1only_access.<locals>.access"
+        counters = result.counters
+        l1_read_hits = len(tracer.of_type("vc.l1_hit"))
+        assert 0 < l1_read_hits <= counters["vc.l1_hits"]
+        assert tracer.of_type("tlb.hit")
+        assert len(tracer.of_type("tlb.miss")) == counters["tlb.misses"]
+        assert len(tracer.of_type("tlb.hit")) + counters["tlb.misses"] == \
+            counters["tlb.accesses"]
+
+        def total(name):
+            return sum(v for _, v in timeline.series(name))
+
+        assert total("vc.accesses") == counters["vc.accesses"] == \
+            result.requests
+        assert total("tlb.probes") == counters["tlb.accesses"]
+        assert total("tlb.misses") == counters["tlb.misses"]
+        assert total("vc.l1_hits") == l1_read_hits
+        bank_requests = sum(b.total_requests for b in hierarchy.l2_banks.banks)
+        assert bank_requests > 0
+        assert obs.metrics.histograms()["l2.bank_queue_delay"].count == \
+            bank_requests
 
     def test_disabled_tracer_emits_nothing(self, small_config):
         obs = Observability()  # NULL_TRACER
