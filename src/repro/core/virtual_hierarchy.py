@@ -12,12 +12,17 @@ Cache keys are ASID-qualified virtual line addresses, which is how the
 design handles homonyms (§4.3: "each cache line needs to track the
 corresponding ASID information", avoiding flushes on context switches).
 
-Hot-path note: :meth:`VirtualCacheHierarchy.access` runs once per
-coalesced request.  Event counts are accumulated in plain integer
-attributes and flushed into the :class:`~repro.engine.stats.Counters`
-bag only when ``counters`` is read (every read flushes, so mid-run
-inspection still sees exact values); the ASID-qualification of line and
-page keys is inlined rather than routed through :func:`line_key`.
+Hot-path note: the request path is compiled once per build, by
+:func:`repro.system.fastpath.compile_virtual_access`, into the closure
+installed as ``access`` — the hierarchy's only access path, with its
+instrumentation hooks decided at build time.  The L1/L2 fills are
+compiled too (:func:`~repro.system.fastpath.compile_virtual_fills`);
+this module keeps the rare bail-outs the closure calls (``_miss_path``,
+``_synonym_replay``, ``_execute_invalidation``), the software-visible
+operations, and the counters.  Event counts are accumulated in plain
+integer attributes and flushed into the
+:class:`~repro.engine.stats.Counters` bag only when ``counters`` is read
+(every read flushes, so mid-run inspection still sees exact values).
 """
 
 from __future__ import annotations
@@ -29,14 +34,13 @@ from repro.core.invalidation_filter import InvalidationFilter
 from repro.core.synonym_remap import SynonymRemapTable
 from repro.engine.resources import BankedServer
 from repro.engine.stats import Counters
-from repro.gpu.coalescer import CoalescedRequest
-from repro.memsys.cache import Cache, CacheLine
+from repro.memsys.cache import Cache
 from repro.memsys.directory import CoherenceProbe
 from repro.memsys.dram import DRAM
 from repro.memsys.iommu import IOMMU
 from repro.memsys.addressing import lines_per_page
 from repro.memsys.page_table import PageTable
-from repro.memsys.permissions import PermissionFault, Permissions
+from repro.memsys.permissions import PermissionFault
 from repro.system.config import SoCConfig
 
 # Virtual line/page keys are ASID-qualified so distinct address spaces
@@ -153,14 +157,17 @@ class VirtualCacheHierarchy:
         if enable_synonym_remapping:
             self.srts = [SynonymRemapTable(srt_entries, name=f"cu{i}-srt")
                          for i in range(config.n_cus)]
-        if obs is None:
-            # Uninstrumented build: shadow the access method with the
-            # closure-compiled fast path (bit-identical; see fastpath).
-            from repro.system.fastpath import compile_virtual_access
+        # The closure-compiled access path is this hierarchy's only one,
+        # instrumented or not: ``access(cu_id, request, now, asid=0)``
+        # returns the request's completion time.  The L1/L2 fills are
+        # compiled too, and shared with the bail-out methods below.
+        from repro.system.fastpath import (
+            compile_virtual_access,
+            compile_virtual_fills,
+        )
 
-            fast = compile_virtual_access(self)
-            if fast is not None:
-                self.access = fast
+        self._fill_l1, self._fill_l2 = compile_virtual_fills(self)
+        self.access = compile_virtual_access(self)
 
     # -- counters ---------------------------------------------------------
     @property
@@ -199,126 +206,7 @@ class VirtualCacheHierarchy:
             counters.add("vc.l1_flushes", self._n_l1_flushes)
             self._n_l1_flushes = 0
 
-    # -- the access path --------------------------------------------------
-    def access(
-        self, cu_id: int, request: CoalescedRequest, now: float, asid: int = 0
-    ) -> float:
-        """Service one coalesced request; return its completion time.
-
-        Reads complete when data arrives; writes are posted (complete at
-        L1-write time) but still exercise the L2/translation machinery
-        at the correct simulated times.
-        """
-        vline = request.line_addr
-        vpn = request.vpn
-        lpp = self._lpp
-        line_index = vline % lpp
-        is_write = request.is_write
-
-        timeline = self._timeline
-        if timeline is not None:
-            timeline.record("vc.accesses", now)
-        if self.srts is not None:
-            # Dynamic synonym remapping: redirect known synonym pages to
-            # their leading address before the L1 lookup (one extra
-            # cycle, subsumed by the L1 access latency here).
-            remap = self.srts[cu_id].lookup(asid, vpn)
-            if remap is not None:
-                asid, vpn = remap
-                vline = vpn * lpp + line_index
-                self._n_srt_remaps += 1
-        key = (asid << _ASID_SHIFT) | vline
-        # Inlined Cache.lookup for the virtual L1 (and the L2 below):
-        # set select is a bitmask, a hit is a dict probe + LRU refresh.
-        l1 = self.l1s[cu_id]
-        l1_set = l1._sets[key & l1._set_mask]
-        line = l1_set.get(key)
-        if line is not None:
-            l1_set.move_to_end(key)
-            l1.hits += 1
-            if not line.permissions._value_ & (2 if is_write else 1):
-                raise PermissionFault(vpn, is_write, line.permissions)
-            self._n_l1_hits += 1
-            if timeline is not None:
-                timeline.record("vc.l1_hits", now)
-            tracer = self._tracer
-            if tracer is not None and tracer.enabled:
-                tracer.emit("vc.l1_hit", now, cu=cu_id, vpn=vpn)
-            if is_write:
-                # Write-through: the write still flows to the L2 and the
-                # store occupies the CU window until it lands there.
-                return self._l2_write(cu_id, asid, vpn, vline, line_index,
-                                      now + self._l1_latency)
-            return now + self._l1_latency
-        l1.misses += 1
-
-        # L1 miss → virtual L2.  (bank_of returns an in-range index, so
-        # the bank's server is addressed directly.)
-        t_l2 = now + self._l1_latency + self._l1_to_l2
-        l2 = self.l2
-        start = self.l2_banks.banks[l2.bank_of(key)].request(t_l2)
-        t_hit = start + self._l2_latency
-        l2_set = l2._sets[key & l2._set_mask]
-        l2_line = l2_set.get(key)
-        if l2_line is not None:
-            l2_set.move_to_end(key)
-            l2.hits += 1
-            if not l2_line.permissions._value_ & (2 if is_write else 1):
-                raise PermissionFault(vpn, is_write, l2_line.permissions)
-            self._n_l2_hits += 1
-            if timeline is not None:
-                timeline.record("vc.l2_hits", t_hit)
-            tracer = self._tracer
-            if tracer is not None and tracer.enabled:
-                tracer.emit("vc.l2_hit", t_hit, cu=cu_id, vpn=vpn)
-            if is_write:
-                l2_line.dirty = True
-                self.fbt.note_write(asid, vpn)
-                return t_hit
-            self._fill_l1(cu_id, asid, vpn, key, l2_line.permissions)
-            return t_hit + self._l1_to_l2
-        l2.misses += 1
-
-        # Whole-hierarchy miss → translation is finally needed.
-        self._n_l2_misses += 1
-        if timeline is not None:
-            timeline.record("vc.l2_misses", t_hit)
-        tracer = self._tracer
-        if tracer is not None and tracer.enabled:
-            tracer.emit("vc.miss", t_hit, cu=cu_id, vpn=vpn)
-        return self._miss_path(
-            cu_id, asid, vpn, vline, line_index, is_write, t_hit
-        )
-
-    def _l2_write(
-        self,
-        cu_id: int,
-        asid: int,
-        vpn: int,
-        vline: int,
-        line_index: int,
-        now: float,
-    ) -> float:
-        """Write-through from an L1 write hit: update/allocate in the L2."""
-        key = (asid << _ASID_SHIFT) | vline
-        t_l2 = now + self._l1_to_l2
-        l2 = self.l2
-        start = self.l2_banks.banks[l2.bank_of(key)].request(t_l2)
-        l2_set = l2._sets[key & l2._set_mask]
-        line = l2_set.get(key)
-        if line is not None:
-            l2_set.move_to_end(key)
-            l2.hits += 1
-            line.dirty = True
-            self.fbt.note_write(asid, vpn)
-            return start + self._l2_latency
-        l2.misses += 1
-        # Non-inclusive hierarchy: the L1 held the line but the L2 did
-        # not.  The write allocates in the write-back L2, which needs an
-        # FBT consultation (translation) to keep inclusion tracking.
-        return self._miss_path(cu_id, asid, vpn, vline, line_index, True,
-                               start + self._l2_latency, fill_l1=False)
-
+    # -- bail-outs of the access path -------------------------------------
     def _miss_path(
         self,
         cu_id: int,
@@ -330,7 +218,12 @@ class VirtualCacheHierarchy:
         now: float,
         fill_l1: bool = True,
     ) -> float:
-        """Translate, consult the FBT, and fetch on a whole-hierarchy miss."""
+        """Translate, consult the FBT, and fetch on a whole-hierarchy miss.
+
+        The access closure inlines the common spine of this path; it
+        calls the method for the non-inclusive write-allocate (an L1
+        write hit that misses the L2).
+        """
         cfg = self.config
         t_iommu = now + cfg.interconnect.gpu_to_iommu
         outcome = self.iommu.translate(vpn, t_iommu, asid=asid)
@@ -429,94 +322,6 @@ class VirtualCacheHierarchy:
             self._fill_l1(cu_id, check.leading_asid, check.leading_vpn, lead_key,
                           check.entry.permissions)
         return t_mem + cfg.interconnect.l1_to_l2
-
-    # -- fills -------------------------------------------------------------
-    # Both fills inline ``Cache.insert`` and *recycle* the evicted victim
-    # line in place of allocating a fresh CacheLine: same field values,
-    # same LRU/dict ordering, one allocation less per fill.  They run on
-    # every L2 read hit (L1 fill) and every whole-hierarchy miss (L2
-    # fill), which makes them the hottest allocation sites of the VC.
-
-    def _fill_l1(
-        self, cu_id: int, asid: int, vpn: int, key: int, permissions: Permissions
-    ) -> None:
-        l1 = self.l1s[cu_id]
-        cache_set = l1._sets[key & l1._set_mask]
-        pkey = (asid << _ASID_SHIFT) | vpn
-        fltr = self.filters[cu_id]
-        existing = cache_set.get(key)
-        if existing is not None:
-            # A synonym replay can refill a leading line that is already
-            # resident (the original probe used the synonym key).
-            existing.permissions = permissions
-            cache_set.move_to_end(key)
-            fltr.on_fill(asid, vpn)
-            return
-        if len(cache_set) >= l1._associativity:
-            _, victim = cache_set.popitem(last=False)
-            victim_page = victim.page
-            if victim_page is not None:
-                l1._forget_page_line(victim)
-                fltr.on_evict(victim_page >> _ASID_SHIFT,
-                              victim_page & ((1 << _ASID_SHIFT) - 1))
-            victim.line_addr = key
-            victim.dirty = False
-            victim.permissions = permissions
-            victim.page = pkey
-            cache_set[key] = victim
-        else:
-            cache_set[key] = CacheLine(key, False, permissions, pkey)
-            l1._n_resident += 1
-        page_lines = l1._page_lines
-        page_lines[pkey] = page_lines.get(pkey, 0) + 1
-        fltr.on_fill(asid, vpn)
-
-    def _fill_l2(
-        self,
-        asid: int,
-        vpn: int,
-        line_index: int,
-        ppn: int,
-        dirty: bool,
-        permissions: Permissions,
-        now: float,
-    ) -> None:
-        lpp = self._lpp
-        key = (asid << _ASID_SHIFT) | (vpn * lpp + line_index)
-        pkey = (asid << _ASID_SHIFT) | vpn
-        l2 = self.l2
-        cache_set = l2._sets[key & l2._set_mask]
-        existing = cache_set.get(key)
-        if existing is not None:
-            # Refill of a resident line: refresh LRU, merge the dirty
-            # bit (write-back cache), no victim.
-            existing.dirty = existing.dirty or dirty
-            existing.permissions = permissions
-            cache_set.move_to_end(key)
-        else:
-            if len(cache_set) >= l2._associativity:
-                _, victim = cache_set.popitem(last=False)
-                if victim.dirty:
-                    self.dram.access_line(now)  # write-back traffic
-                    self._n_l2_writebacks += 1
-                victim_page = victim.page
-                if victim_page is not None:
-                    l2._forget_page_line(victim)
-                    self.fbt.note_l2_eviction(
-                        victim_page >> _ASID_SHIFT,
-                        victim_page & ((1 << _ASID_SHIFT) - 1),
-                        victim.line_addr % lpp)
-                victim.line_addr = key
-                victim.dirty = dirty
-                victim.permissions = permissions
-                victim.page = pkey
-                cache_set[key] = victim
-            else:
-                cache_set[key] = CacheLine(key, dirty, permissions, pkey)
-                l2._n_resident += 1
-            page_lines = l2._page_lines
-            page_lines[pkey] = page_lines.get(pkey, 0) + 1
-        self.fbt.note_l2_fill(ppn, line_index)
 
     # -- invalidation machinery ---------------------------------------------
     def _execute_invalidation(self, order: InvalidationOrder, now: float) -> None:

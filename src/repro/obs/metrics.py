@@ -24,6 +24,12 @@ from repro.obs.timeline import Timeline
 
 __all__ = ["LatencyHistogram", "MetricsRegistry", "MetricsScope"]
 
+_INF = float("inf")
+_floor = math.floor
+_log = math.log
+#: Most distinct values whose bucket index a histogram keeps memoized.
+_INDEX_MEMO_LIMIT = 1024
+
 class LatencyHistogram:
     """A log-scale histogram of nonnegative values.
 
@@ -43,22 +49,53 @@ class LatencyHistogram:
         self._zero_count = 0
         self.count = 0
         self.total = 0.0
-        self.min: Optional[float] = None
-        self.max: Optional[float] = None
+        # Exact bounds as plain floats: ``+inf``/``-inf`` until the first
+        # value, so ``record`` needs no ``is None`` tests (see ``min``).
+        self._lo = _INF
+        self._hi = -_INF
+        # Recorded values repeat heavily (a run's request latencies and
+        # queue delays take a few percent as many distinct values as it
+        # records), so ``record`` memoizes each value's bucket index in
+        # place of recomputing the logarithm.  A full memo is emptied and
+        # refilled, so it follows the values a long-lived registry sees
+        # now; it is a cache, so it is not pickled.
+        self._index_of: Dict[float, int] = {}
 
     def record(self, value: float, count: int = 1) -> None:
         """Add ``count`` observations of ``value``."""
         self.count += count
         self.total += value * count
-        if self.min is None or value < self.min:
-            self.min = value
-        if self.max is None or value > self.max:
-            self.max = value
+        if value < self._lo:
+            self._lo = value
+        if value > self._hi:
+            self._hi = value
         if value <= 0.0:
             self._zero_count += count
             return
-        index = math.floor(math.log(value) / self._log_growth)
-        self._buckets[index] = self._buckets.get(index, 0) + count
+        index_of = self._index_of
+        index = index_of.get(value)
+        if index is None:
+            index = _floor(_log(value) / self._log_growth)
+            if len(index_of) >= _INDEX_MEMO_LIMIT:
+                index_of.clear()
+            index_of[value] = index
+        buckets = self._buckets
+        buckets[index] = buckets.get(index, 0) + count
+
+    def __getstate__(self) -> Dict[str, Any]:
+        state = dict(self.__dict__)
+        state["_index_of"] = {}
+        return state
+
+    @property
+    def min(self) -> Optional[float]:
+        """Smallest recorded value, or ``None`` before the first."""
+        return self._lo if self._lo <= self._hi else None
+
+    @property
+    def max(self) -> Optional[float]:
+        """Largest recorded value, or ``None`` before the first."""
+        return self._hi if self._lo <= self._hi else None
 
     @property
     def mean(self) -> float:
@@ -125,18 +162,18 @@ class LatencyHistogram:
         self._zero_count += other._zero_count
         for index, count in other._buckets.items():
             self._buckets[index] = self._buckets.get(index, 0) + count
-        if other.min is not None and (self.min is None or other.min < self.min):
-            self.min = other.min
-        if other.max is not None and (self.max is None or other.max > self.max):
-            self.max = other.max
+        if other._lo < self._lo:
+            self._lo = other._lo
+        if other._hi > self._hi:
+            self._hi = other._hi
 
     def reset(self) -> None:
         self._buckets.clear()
         self._zero_count = 0
         self.count = 0
         self.total = 0.0
-        self.min = None
-        self.max = None
+        self._lo = _INF
+        self._hi = -_INF
 
 
 class MetricsRegistry:

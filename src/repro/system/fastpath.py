@@ -9,12 +9,15 @@ thousands of Python-level attribute walks (``self.config.interconnect
 a closure whose free variables are the hot structures themselves — the
 per-CU TLB list, the raw cache sets, the L2 bank servers, the DRAM
 link's bound ``request`` — and whose latencies are plain local floats.
-There are three closures, one per hierarchy kind, and all three share
-one DRAM-transfer closure (:func:`_compile_dram_line`).
+There are three access closures, one per hierarchy kind, plus the
+full virtual hierarchy's L1/L2 fills (:func:`compile_virtual_fills`),
+and all of them share one DRAM-transfer closure
+(:func:`_compile_dram_line`).
 
-Three rules keep each compiled path bit-identical to the model it
-implements (the golden hot-path test pins every counter *and* the
-cycle count):
+Three rules keep each compiled path bit-identical to the structures it
+inlines (``tests/golden_hotpath.json`` pins every counter *and* the
+cycle count; ``tests/golden_obs.json`` pins every trace event,
+histogram and timeline series of instrumented runs):
 
 * counters are attributed in exactly the same order and on exactly the
   same events as the structures' own methods;
@@ -24,13 +27,15 @@ cycle count):
   ``CacheLine`` — same field values, same dict ordering, one object
   allocation less per fill.
 
-Where the closure runs differs by hierarchy.  For L1-only virtual
-caching (:func:`compile_l1only_access`) the closure is the *only* access
-path: every build installs it, and it carries its own instrumentation
-hooks, decided once at build time.  The physical and whole-hierarchy
-virtual closures are installed only when the hierarchy is built without
-observability (and, for the physical one, without lifetime tracking);
-instrumented builds of those two keep their ``access`` methods.
+Each closure is its hierarchy's *only* access path: every build,
+instrumented or not, installs it as ``access``.  Instrumentation is
+decided once, at build time: the tracer, the timeline, the lifetime
+trackers and the L2-bank delay histogram are captured as free variables
+that are ``None`` when absent, so an uninstrumented build pays one
+``is None`` test per hook site and an instrumented build runs the same
+code with the hooks taken.  The IOMMU's histograms are recorded inline
+too; an IOMMU with a timeline, an enabled tracer or shared-TLB lifetimes
+keeps its ``translate_parts`` method, which carries those hooks.
 """
 
 from __future__ import annotations
@@ -44,6 +49,7 @@ __all__ = [
     "compile_l1only_access",
     "compile_physical_access",
     "compile_virtual_access",
+    "compile_virtual_fills",
 ]
 
 _RW = Permissions.READ_WRITE
@@ -87,47 +93,59 @@ def _compile_dram_line(dram):
 
 
 def compile_physical_access(h):
-    """Build the fast ``access`` closure for a :class:`PhysicalHierarchy`.
+    """Build the ``access`` closure for a :class:`PhysicalHierarchy`.
 
-    Returns ``None`` when the hierarchy's shape rules out the compiled
-    path (non-power-of-two L2 banking falls back to modulo selection,
-    which the closure does not carry).
+    This is the hierarchy's only access path: it is installed on every
+    build, so instrumentation is decided here, once.  The timeline and
+    tracer hooks, the three lifetime trackers (``track_lifetimes``) and
+    the ``l2.bank_queue_delay`` histogram are captured ``None`` checks,
+    and an IOMMU with a timeline or an enabled tracer keeps
+    ``translate_parts``.
     """
-    l2 = h.l2
-    if l2._bank_mask is None:
-        return None
-    if any(bank.delay_histogram is not None for bank in h.l2_banks.banks):
-        return None
+    cfg = h.config
     per_cu_tlbs = h.per_cu_tlbs
     l1s = h.l1s
     l1_set_mask = l1s[0]._set_mask if l1s else 0
-    l1_ways = h.config.l1.associativity
+    l1_ways = cfg.l1.associativity
+    l2 = h.l2
     l2_sets = l2._sets
     l2_set_mask = l2._set_mask
-    l2_bank_mask = l2._bank_mask
-    l2_ways = h.config.l2.associativity
+    l2_ways = cfg.l2.associativity
     banks = h.l2_banks.banks
+    # ``%`` equals the bank mask for power-of-two bank counts, and is
+    # ``Cache.bank_of``'s own fallback for the rest.
+    n_banks = len(banks)
     lpp = h._lpp
-    cfg = h.config
     tlb_latency = cfg.per_cu_tlb_latency
     l1_latency = cfg.l1_latency
     l2_latency = cfg.l2_latency
     l1_to_l2 = cfg.interconnect.l1_to_l2
     gpu_to_iommu = cfg.interconnect.gpu_to_iommu
     iommu_to_gpu = cfg.interconnect.iommu_to_gpu
-    iommu_translate_parts = h.iommu.translate_parts
     ideal = h.ideal
     page_tables = h.page_tables
+    timeline = h._timeline
+    tracer = h._tracer
+    if tracer is not None and not tracer.enabled:
+        tracer = None
+    tlb_life = l1_life = l2_life = None
+    if h.lifetimes is not None:
+        tlb_life = h.lifetimes["tlb"]
+        l1_life = h.lifetimes["l1"]
+        l2_life = h.lifetimes["l2"]
     # IOMMU constants for the inlined ``translate_parts`` prologue +
     # shared-TLB probe (the shared-TLB-miss tail keeps the
-    # ``_translate_miss_parts`` method).  An instrumented IOMMU
-    # (histograms/timeline/tracer/lifetimes) keeps the full method.
+    # ``_translate_miss_parts`` method).  The IOMMU's histograms are
+    # recorded inline; a timeline, an enabled tracer or shared-TLB
+    # lifetimes keep the full method, which carries those hooks.
     iommu = h.iommu
+    iommu_translate_parts = iommu.translate_parts
     stlb = iommu.shared_tlb
-    iommu_inline = (iommu._queue_hist is None and iommu._timeline is None
-                    and iommu._tracer is None
-                    and iommu._translate_hist is None
+    iommu_inline = (iommu._timeline is None
+                    and (iommu._tracer is None or not iommu._tracer.enabled)
                     and stlb.lifetimes is None)
+    queue_hist = iommu._queue_hist
+    translate_hist = iommu._translate_hist
     sampler = iommu.access_sampler
     sampler_ic = sampler.interval_cycles
     scounts = sampler._window_counts
@@ -140,16 +158,19 @@ def compile_physical_access(h):
     iommu_tlb_latency = iommu._tlb_latency
     iommu_translate_miss = iommu._translate_miss_parts
     # Windowed-server accounting constants for the inlined bank request
-    # (all banks share one rate; histograms are absent — checked above).
+    # (all banks share one rate and, when attached, one histogram).
     window_cycles = banks[0].WINDOW_CYCLES
     l2_rate = banks[0].rate
     l2_cap = window_cycles * l2_rate
+    bank_hist = banks[0].delay_histogram
     dram_line = _compile_dram_line(h.dram)
 
     def access(cu_id, request, now, asid=0):
         vpn = request.vpn
         is_write = request.is_write
         line_index = request.line_addr % lpp
+        if timeline is not None:
+            timeline.record("tlb.probes", now)
         tlb = per_cu_tlbs[cu_id]
         key = (asid << 52) | vpn
         if key == tlb._memo_key:
@@ -163,26 +184,31 @@ def compile_physical_access(h):
                 tlb.hits += 1
                 tlb._memo_key = key
                 tlb._memo_entry = entry
+        ready = now + tlb_latency
         if entry is not None:
+            if tlb_life is not None:
+                tlb_life.on_access((cu_id, key), now)
+            if tracer is not None:
+                tracer.emit("tlb.hit", ready, cu=cu_id, vpn=vpn)
             permissions = entry.permissions
             if not permissions._value_ & (2 if is_write else 1):
                 raise PermissionFault(vpn, is_write, permissions)
             physical_line = entry.ppn * lpp + line_index
-            ready = now + tlb_latency
         else:
             tlb.misses += 1
             h._n_tlb_misses += 1
-            t = now + tlb_latency
+            if timeline is not None:
+                timeline.record("tlb.misses", ready)
+            if tracer is not None:
+                tracer.emit("tlb.miss", ready, cu=cu_id, vpn=vpn)
             if ideal:
                 # Instant fill from the page table: translation is free.
                 mapping = page_tables[asid].lookup(vpn)
                 if mapping is None:
                     raise PageFault(vpn, asid)
                 ppn, permissions = mapping
-                tlb.insert(key, ppn, permissions, t)
-                ready = t
             else:
-                t_iommu = t + gpu_to_iommu
+                t_iommu = ready + gpu_to_iommu
                 if iommu_inline:
                     # Inlined ``IOMMU.translate_parts`` prologue +
                     # shared-TLB probe; the per-CU TLB key doubles as
@@ -205,6 +231,8 @@ def compile_physical_access(h):
                     else:
                         service_start = port_request(t_iommu)
                     iommu.queue_cycles += service_start - t_iommu
+                    if queue_hist is not None:
+                        queue_hist.record(service_start - t_iommu)
                     t_tr = service_start + iommu_tlb_latency
                     if key == stlb._memo_key:
                         stlb.hits += 1
@@ -220,6 +248,8 @@ def compile_physical_access(h):
                             stlb._memo_entry = sentry
                     if sentry is not None:
                         iommu._n_tlb_hits += 1
+                        if translate_hist is not None:
+                            translate_hist.record(t_tr - t_iommu)
                         ppn = sentry.ppn
                         permissions = sentry.permissions
                         finish = t_tr
@@ -231,7 +261,11 @@ def compile_physical_access(h):
                     ppn, permissions, finish, _, _, _, _ = (
                         iommu_translate_parts(vpn, t_iommu, asid))
                 ready = finish + iommu_to_gpu
-                tlb.insert(key, ppn, permissions, ready)
+            victim = tlb.insert(key, ppn, permissions, ready)
+            if tlb_life is not None:
+                if victim is not None:
+                    tlb_life.on_evict((cu_id, victim.vpn), ready)
+                tlb_life.on_insert((cu_id, key), ready)
             if not permissions._value_ & (2 if is_write else 1):
                 raise PermissionFault(vpn, is_write, permissions)
             physical_line = ppn * lpp + line_index
@@ -243,77 +277,27 @@ def compile_physical_access(h):
             else:
                 h._n_miss_l2_miss += 1
 
+        # Write-through, no-allocate L1: a write updates the line on a
+        # hit and, like every read miss, continues to the L2.
         l1 = l1s[cu_id]
         l1_set = l1._sets[physical_line & l1_set_mask]
-        if is_write:
-            # Write-through, no-allocate L1: update on hit; the store
-            # occupies the CU window until it lands in the L2.
-            if physical_line in l1_set:
-                l1_set.move_to_end(physical_line)
-                l1.hits += 1
-            else:
-                l1.misses += 1
-            # Inlined ``WindowedServer.request`` (see resources.py).
-            server = banks[physical_line & l2_bank_mask]
-            t_req = ready + l1_latency + l1_to_l2
-            server.total_requests += 1
-            w = int(t_req // window_cycles)
-            wi = server._window_index
-            if w > wi:
-                server._window_index = w
-                count = 1.0
-                server._window_count = count
-            else:
-                if w < wi:
-                    t_req = wi * window_cycles
-                count = server._window_count + 1.0
-                server._window_count = count
-            overflow = count - l2_cap
-            if overflow > 0.0:
-                delay = overflow / l2_rate
-                server.total_queue_delay += delay
-                t_req += delay
-            t_done = t_req + l2_latency
-            l2_set = l2_sets[physical_line & l2_set_mask]
-            l2_line = l2_set.get(physical_line)
-            if l2_line is not None:
-                l2_set.move_to_end(physical_line)
-                l2.hits += 1
-                l2_line.dirty = True
-                return t_done
-            l2.misses += 1
-            # Write-allocate into the write-back L2 (full-line store:
-            # no memory fetch needed).
-            if len(l2_set) >= l2_ways:
-                _, victim = l2_set.popitem(last=False)
-                if victim.dirty:
-                    dram_line(t_done)  # write-back traffic
-                    h._n_l2_writebacks += 1
-                if victim.page is not None:
-                    l2._forget_page_line(victim)
-                    victim.page = None
-                victim.line_addr = physical_line
-                victim.dirty = True
-                victim.permissions = _RW
-                l2_set[physical_line] = victim
-            else:
-                l2_set[physical_line] = CacheLine(physical_line, True)
-                l2._n_resident += 1
-            return t_done
-
-        line = l1_set.get(physical_line)
-        if line is not None:
+        if physical_line in l1_set:
             l1_set.move_to_end(physical_line)
             l1.hits += 1
-            return ready + l1_latency
-        l1.misses += 1
+            if not is_write:
+                if l1_life is not None:
+                    l1_life.on_access((cu_id, physical_line), ready)
+                return ready + l1_latency
+        else:
+            l1.misses += 1
 
-        # Read path below the L1: banked L2 lookup, then DRAM on a miss.
-        # Inlined ``WindowedServer.request`` (see resources.py).
-        server = banks[physical_line & l2_bank_mask]
-        t_req = ready + l1_latency + l1_to_l2
+        # The banked L2: a store occupies the CU window until it lands
+        # there; a read continues to DRAM on a miss.  Inlined
+        # ``WindowedServer.request`` (see resources.py).
+        server = banks[physical_line % n_banks]
+        start = ready + l1_latency + l1_to_l2
         server.total_requests += 1
-        w = int(t_req // window_cycles)
+        w = int(start // window_cycles)
         wi = server._window_index
         if w > wi:
             server._window_index = w
@@ -321,40 +305,63 @@ def compile_physical_access(h):
             server._window_count = count
         else:
             if w < wi:
-                t_req = wi * window_cycles
+                start = wi * window_cycles
             count = server._window_count + 1.0
             server._window_count = count
         overflow = count - l2_cap
         if overflow > 0.0:
             delay = overflow / l2_rate
             server.total_queue_delay += delay
-            t_req += delay
-        t_mem = t_req + l2_latency
+            start += delay
+            if bank_hist is not None:
+                bank_hist.record(delay)
+        elif bank_hist is not None:
+            bank_hist.record(0.0)
+        t_mem = start + l2_latency
         l2_set = l2_sets[physical_line & l2_set_mask]
-        if physical_line in l2_set:
+        l2_line = l2_set.get(physical_line)
+        if l2_line is not None:
             l2_set.move_to_end(physical_line)
             l2.hits += 1
+            if is_write:
+                l2_line.dirty = True
+                if l2_life is not None:
+                    l2_life.on_access(physical_line, start)
+                return t_mem
+            if l2_life is not None:
+                l2_life.on_access(physical_line, t_mem)
         else:
             l2.misses += 1
-            t_mem = dram_line(t_mem)
+            # Reads fetch the line; a store is a full-line write that
+            # allocates in the write-back L2 with no memory fetch.
+            if not is_write:
+                t_mem = dram_line(t_mem)
             if len(l2_set) >= l2_ways:
                 _, victim = l2_set.popitem(last=False)
                 if victim.dirty:
                     dram_line(t_mem)  # write-back traffic
                     h._n_l2_writebacks += 1
+                if l2_life is not None:
+                    l2_life.on_evict(victim.line_addr, t_mem)
                 if victim.page is not None:
                     l2._forget_page_line(victim)
                     victim.page = None
                 victim.line_addr = physical_line
-                victim.dirty = False
+                victim.dirty = is_write
                 victim.permissions = _RW
                 l2_set[physical_line] = victim
             else:
-                l2_set[physical_line] = CacheLine(physical_line)
+                l2_set[physical_line] = CacheLine(physical_line, is_write)
                 l2._n_resident += 1
+            if l2_life is not None:
+                l2_life.on_insert(physical_line, t_mem)
+            if is_write:
+                return t_mem
         # Fill the L1 (the line cannot already be resident: it missed).
         if len(l1_set) >= l1_ways:
             _, victim = l1_set.popitem(last=False)
+            if l1_life is not None:
+                l1_life.on_evict((cu_id, victim.line_addr), t_mem)
             victim.line_addr = physical_line
             victim.dirty = False
             victim.permissions = _RW
@@ -362,94 +369,39 @@ def compile_physical_access(h):
         else:
             l1_set[physical_line] = CacheLine(physical_line)
             l1._n_resident += 1
+        if l1_life is not None:
+            l1_life.on_insert((cu_id, physical_line), t_mem)
         return t_mem + l1_to_l2
 
     return access
 
 
-def compile_virtual_access(h):
-    """Build the fast ``access`` closure for a :class:`VirtualCacheHierarchy`.
+def compile_virtual_fills(h):
+    """Build the L1 and L2 fills of a :class:`VirtualCacheHierarchy`.
 
-    The L1/L2 probe spine is compiled; the whole-hierarchy miss path
-    (IOMMU translation + FBT consultation) keeps its method — it runs
-    on a minority of requests and owns the synonym/invalidation logic.
+    Returns ``(fill_l1, fill_l2)``.  The hierarchy installs them as
+    ``_fill_l1``/``_fill_l2``, so the access closure and the rare
+    bail-out methods (``_miss_path``, ``_synonym_replay``) share one
+    implementation.  Both inline ``Cache.insert`` and *recycle* the
+    evicted victim line in place of allocating a fresh ``CacheLine``.
     """
-    l2 = h.l2
-    if l2._bank_mask is None:
-        return None
-    if any(bank.delay_histogram is not None for bank in h.l2_banks.banks):
-        return None
     l1s = h.l1s
     l1_set_mask = l1s[0]._set_mask if l1s else 0
+    l1_ways = l1s[0]._associativity if l1s else 0
+    l2 = h.l2
     l2_sets = l2._sets
     l2_set_mask = l2._set_mask
-    l2_bank_mask = l2._bank_mask
-    banks = h.l2_banks.banks
-    lpp = h._lpp
-    l1_latency = h._l1_latency
-    l2_latency = h._l2_latency
-    l1_to_l2 = h._l1_to_l2
-    srts = h.srts
-    miss_path = h._miss_path
-    iommu_translate_parts = h.iommu.translate_parts
-    fbt_check_access = h.fbt.check_access
-    execute_invalidation = h._execute_invalidation
-    synonym_replay = h._synonym_replay
-    interconnect = h.config.interconnect
-    gpu_to_iommu = interconnect.gpu_to_iommu
-    l2_to_fbt = interconnect.l2_to_fbt
-    fbt_lookup = interconnect.fbt_lookup
-    filters = h.filters
-    l1_ways = l1s[0]._associativity if l1s else 0
     l2_ways = l2._associativity
-    fbt_note_l2_eviction = h.fbt.note_l2_eviction
-    fbt_note_l2_fill = h.fbt.note_l2_fill
+    lpp = h._lpp
+    filters = h.filters
     pkey_mask = (1 << 52) - 1
-    # FBT consultation constants for the inlined base-page
-    # ``check_access`` (large pages under the counter policy keep the
-    # method, which owns that logic).
     fbt = h.fbt
-    bt = fbt.bt
-    bt_sets = bt._sets
-    bt_set_mask = bt.n_sets - 1
-    counter_policy = fbt.large_page_policy == fbt.COUNTER_POLICY
-    fbt_allocate = fbt._allocate
-    fault_on_rw = fbt.fault_on_rw_synonym
-    fbt_counters = fbt.counters
-    ft = fbt.ft
-    ft_index = ft._index
-    ft_lookup = ft.lookup
-    # IOMMU constants for the inlined ``translate_parts`` prologue +
-    # shared-TLB probe (the shared-TLB-miss tail keeps the
-    # ``_translate_miss_parts`` method).  An instrumented IOMMU
-    # (histograms/timeline/tracer/lifetimes) keeps the full method.
-    iommu = h.iommu
-    stlb = iommu.shared_tlb
-    iommu_inline = (iommu._queue_hist is None and iommu._timeline is None
-                    and iommu._tracer is None
-                    and iommu._translate_hist is None
-                    and stlb.lifetimes is None)
-    sampler = iommu.access_sampler
-    sampler_ic = sampler.interval_cycles
-    scounts = sampler._window_counts
-    stlb_entries = stlb._entries
-    iommu_unlimited = iommu.unlimited_bandwidth
-    port_banks = iommu._port_banks
-    n_port_banks = iommu._n_port_banks
-    bank_low = iommu._bank_select_low
-    port_request = iommu.port.request
-    iommu_tlb_latency = iommu._tlb_latency
-    iommu_translate_miss = iommu._translate_miss_parts
-    # Windowed-server accounting constants for the inlined bank request
-    # (all banks share one rate; histograms are absent — checked above).
-    window_cycles = banks[0].WINDOW_CYCLES
-    l2_rate = banks[0].rate
-    l2_cap = window_cycles * l2_rate
+    fbt_note_l2_eviction = fbt.note_l2_eviction
+    fbt_note_l2_fill = fbt.note_l2_fill
+    bt_sets = fbt.bt._sets
+    bt_set_mask = fbt.bt.n_sets - 1
     dram_line = _compile_dram_line(h.dram)
 
-    # Compiled twins of ``_fill_l1`` / ``_fill_l2`` (same recycling
-    # semantics, free variables instead of ``self.`` walks).  The bail
-    # paths (``_miss_path``/``_synonym_replay``) keep the methods.
     def fill_l1(cu_id, asid, vpn, key, permissions):
         l1 = l1s[cu_id]
         cache_set = l1._sets[key & l1_set_mask]
@@ -535,11 +487,102 @@ def compile_virtual_access(h):
         else:
             fbt_note_l2_fill(ppn, line_index)
 
+    return fill_l1, fill_l2
+
+
+def compile_virtual_access(h):
+    """Build the ``access`` closure for a :class:`VirtualCacheHierarchy`.
+
+    This is the hierarchy's only access path: it is installed on every
+    build, so instrumentation is decided here, once.  The timeline and
+    tracer hooks and the ``l2.bank_queue_delay`` histogram are captured
+    ``None`` checks, and an IOMMU with a timeline or an enabled tracer
+    keeps ``translate_parts``.  The whole-hierarchy miss spine is
+    inlined; synonym replays, invalidations and the non-inclusive
+    write-allocate bail out to the hierarchy's methods, which own that
+    logic.
+    """
+    l2 = h.l2
+    l1s = h.l1s
+    l1_set_mask = l1s[0]._set_mask if l1s else 0
+    l2_sets = l2._sets
+    l2_set_mask = l2._set_mask
+    banks = h.l2_banks.banks
+    # ``%`` equals the bank mask for power-of-two bank counts, and is
+    # ``Cache.bank_of``'s own fallback for the rest.
+    n_banks = len(banks)
+    lpp = h._lpp
+    l1_latency = h._l1_latency
+    l2_latency = h._l2_latency
+    l1_to_l2 = h._l1_to_l2
+    srts = h.srts
+    miss_path = h._miss_path
+    fill_l1 = h._fill_l1
+    fill_l2 = h._fill_l2
+    execute_invalidation = h._execute_invalidation
+    synonym_replay = h._synonym_replay
+    interconnect = h.config.interconnect
+    gpu_to_iommu = interconnect.gpu_to_iommu
+    l2_to_fbt = interconnect.l2_to_fbt
+    fbt_lookup = interconnect.fbt_lookup
+    timeline = h._timeline
+    tracer = h._tracer
+    if tracer is not None and not tracer.enabled:
+        tracer = None
+    # FBT consultation constants for the inlined base-page
+    # ``check_access`` (large pages under the counter policy keep the
+    # method, which owns that logic).
+    fbt = h.fbt
+    fbt_check_access = fbt.check_access
+    bt = fbt.bt
+    bt_sets = bt._sets
+    bt_set_mask = bt.n_sets - 1
+    counter_policy = fbt.large_page_policy == fbt.COUNTER_POLICY
+    fbt_allocate = fbt._allocate
+    fault_on_rw = fbt.fault_on_rw_synonym
+    fbt_counters = fbt.counters
+    ft = fbt.ft
+    ft_index = ft._index
+    ft_lookup = ft.lookup
+    # IOMMU constants for the inlined ``translate_parts`` prologue +
+    # shared-TLB probe (the shared-TLB-miss tail keeps the
+    # ``_translate_miss_parts`` method).  The IOMMU's histograms are
+    # recorded inline; a timeline, an enabled tracer or shared-TLB
+    # lifetimes keep the full method, which carries those hooks.
+    iommu = h.iommu
+    iommu_translate_parts = iommu.translate_parts
+    stlb = iommu.shared_tlb
+    iommu_inline = (iommu._timeline is None
+                    and (iommu._tracer is None or not iommu._tracer.enabled)
+                    and stlb.lifetimes is None)
+    queue_hist = iommu._queue_hist
+    translate_hist = iommu._translate_hist
+    sampler = iommu.access_sampler
+    sampler_ic = sampler.interval_cycles
+    scounts = sampler._window_counts
+    stlb_entries = stlb._entries
+    iommu_unlimited = iommu.unlimited_bandwidth
+    port_banks = iommu._port_banks
+    n_port_banks = iommu._n_port_banks
+    bank_low = iommu._bank_select_low
+    port_request = iommu.port.request
+    iommu_tlb_latency = iommu._tlb_latency
+    iommu_translate_miss = iommu._translate_miss_parts
+    # Windowed-server accounting constants for the inlined bank request
+    # (all banks share one rate and, when attached, one histogram).
+    window_cycles = banks[0].WINDOW_CYCLES
+    l2_rate = banks[0].rate
+    l2_cap = window_cycles * l2_rate
+    bank_hist = banks[0].delay_histogram
+    dram_line = _compile_dram_line(h.dram)
+
     def access(cu_id, request, now, asid=0):
         vline = request.line_addr
         vpn = request.vpn
         line_index = vline % lpp
         is_write = request.is_write
+        if timeline is not None:
+            timeline.record("vc.accesses", now)
         if srts is not None:
             # Dynamic synonym remapping: redirect known synonym pages to
             # their leading address before the L1 lookup.  Inlined
@@ -565,59 +608,20 @@ def compile_virtual_access(h):
             if not line.permissions._value_ & (2 if is_write else 1):
                 raise PermissionFault(vpn, is_write, line.permissions)
             h._n_l1_hits += 1
+            if timeline is not None:
+                timeline.record("vc.l1_hits", now)
+            if tracer is not None:
+                tracer.emit("vc.l1_hit", now, cu=cu_id, vpn=vpn)
             if not is_write:
                 return now + l1_latency
             # Write-through: the write still flows to the L2 and the
             # store occupies the CU window until it lands there.
-            # Inlined ``WindowedServer.request`` (see resources.py).
-            server = banks[key & l2_bank_mask]
-            start = now + l1_latency + l1_to_l2
-            server.total_requests += 1
-            w = int(start // window_cycles)
-            wi = server._window_index
-            if w > wi:
-                server._window_index = w
-                count = 1.0
-                server._window_count = count
-            else:
-                if w < wi:
-                    start = wi * window_cycles
-                count = server._window_count + 1.0
-                server._window_count = count
-            overflow = count - l2_cap
-            if overflow > 0.0:
-                delay = overflow / l2_rate
-                server.total_queue_delay += delay
-                start += delay
-            l2_set = l2_sets[key & l2_set_mask]
-            l2_line = l2_set.get(key)
-            if l2_line is not None:
-                l2_set.move_to_end(key)
-                l2.hits += 1
-                l2_line.dirty = True
-                # Inlined ``FBT.note_write`` (first FT probe; the
-                # counter-policy base-page fallback keeps the counted
-                # ``ForwardTable.lookup`` method).
-                ft.lookups += 1
-                fentry = ft_index.get((asid, vpn))
-                if fentry is not None:
-                    ft.hits += 1
-                    fentry.written = True
-                elif counter_policy:
-                    fentry = ft_lookup(asid, large_page_base_vpn(vpn))
-                    if fentry is not None:
-                        fentry.written = True
-                return start + l2_latency
-            l2.misses += 1
-            # Non-inclusive hierarchy: L1 write hit, L2 miss — allocate
-            # in the write-back L2 via the translated miss path.
-            return miss_path(cu_id, asid, vpn, vline, line_index, True,
-                             start + l2_latency, fill_l1=False)
-        l1.misses += 1
+        else:
+            l1.misses += 1
 
-        # L1 miss → virtual L2.
+        # The banked virtual L2, for L1 misses and write-throughs alike.
         # Inlined ``WindowedServer.request`` (see resources.py).
-        server = banks[key & l2_bank_mask]
+        server = banks[key % n_banks]
         start = now + l1_latency + l1_to_l2
         server.total_requests += 1
         w = int(start // window_cycles)
@@ -636,18 +640,29 @@ def compile_virtual_access(h):
             delay = overflow / l2_rate
             server.total_queue_delay += delay
             start += delay
+            if bank_hist is not None:
+                bank_hist.record(delay)
+        elif bank_hist is not None:
+            bank_hist.record(0.0)
         t_hit = start + l2_latency
         l2_set = l2_sets[key & l2_set_mask]
         l2_line = l2_set.get(key)
         if l2_line is not None:
             l2_set.move_to_end(key)
             l2.hits += 1
-            if not l2_line.permissions._value_ & (2 if is_write else 1):
-                raise PermissionFault(vpn, is_write, l2_line.permissions)
-            h._n_l2_hits += 1
+            if line is None:
+                if not l2_line.permissions._value_ & (2 if is_write else 1):
+                    raise PermissionFault(vpn, is_write, l2_line.permissions)
+                h._n_l2_hits += 1
+                if timeline is not None:
+                    timeline.record("vc.l2_hits", t_hit)
+                if tracer is not None:
+                    tracer.emit("vc.l2_hit", t_hit, cu=cu_id, vpn=vpn)
             if is_write:
                 l2_line.dirty = True
-                # Inlined ``FBT.note_write`` (see the L1-hit twin above).
+                # Inlined ``FBT.note_write`` (first FT probe; the
+                # counter-policy base-page fallback keeps the counted
+                # ``ForwardTable.lookup`` method).
                 ft.lookups += 1
                 fentry = ft_index.get((asid, vpn))
                 if fentry is not None:
@@ -661,12 +676,21 @@ def compile_virtual_access(h):
             fill_l1(cu_id, asid, vpn, key, l2_line.permissions)
             return t_hit + l1_to_l2
         l2.misses += 1
+        if line is not None:
+            # Non-inclusive hierarchy: L1 write hit, L2 miss — allocate
+            # in the write-back L2 via the translated miss path.
+            return miss_path(cu_id, asid, vpn, vline, line_index, True,
+                             t_hit, fill_l1=False)
 
         # Whole-hierarchy miss → translation is finally needed.  The
         # common (leading-page, no-invalidation) spine of ``_miss_path``
         # is inlined here; synonym replays and shootdowns bail out to
         # the methods, which own that logic.
         h._n_l2_misses += 1
+        if timeline is not None:
+            timeline.record("vc.l2_misses", t_hit)
+        if tracer is not None:
+            tracer.emit("vc.miss", t_hit, cu=cu_id, vpn=vpn)
         t_iommu = t_hit + gpu_to_iommu
         if iommu_inline:
             # Inlined ``IOMMU.translate_parts`` prologue + shared-TLB
@@ -689,6 +713,8 @@ def compile_virtual_access(h):
             else:
                 service_start = port_request(t_iommu)
             iommu.queue_cycles += service_start - t_iommu
+            if queue_hist is not None:
+                queue_hist.record(service_start - t_iommu)
             t_tr = service_start + iommu_tlb_latency
             tkey = (asid << 52) | vpn
             if tkey == stlb._memo_key:
@@ -705,6 +731,8 @@ def compile_virtual_access(h):
                     stlb._memo_entry = sentry
             if sentry is not None:
                 iommu._n_tlb_hits += 1
+                if translate_hist is not None:
+                    translate_hist.record(t_tr - t_iommu)
                 ppn = sentry.ppn
                 permissions = sentry.permissions
                 finish = t_tr
@@ -720,6 +748,8 @@ def compile_virtual_access(h):
         if not permissions._value_ & (2 if is_write else 1):
             raise PermissionFault(vpn, is_write, permissions)
         t_fbt = finish + l2_to_fbt + fbt_lookup
+        if timeline is not None:
+            timeline.record("fbt.lookups", t_fbt)
         if is_large and counter_policy:
             check = fbt_check_access(
                 asid, vpn, ppn, permissions, line_index, is_write,
@@ -786,11 +816,11 @@ def compile_l1only_access(h):
 
     This is the hierarchy's only access path: it is installed on every
     build, so instrumentation is decided here, once.  The timeline and
-    tracer hooks are captured ``None`` checks, an instrumented IOMMU
-    keeps ``translate_parts``, and L2 banks that carry a delay histogram
-    keep ``WindowedServer.request``.  The four ASDT operations
-    (``check``, ``note_write``, ``on_fill``, ``on_evict``) are inlined
-    on the ASDT's own dicts.
+    tracer hooks and the ``l2.bank_queue_delay`` histogram are captured
+    ``None`` checks, and an IOMMU with a timeline or an enabled tracer
+    keeps ``translate_parts``.  The four ASDT operations (``check``,
+    ``note_write``, ``on_fill``, ``on_evict``) are inlined on the ASDT's
+    own dicts.
     """
     from repro.core.l1_only import ASDTEntry
 
@@ -824,15 +854,17 @@ def compile_l1only_access(h):
         tracer = None
     # IOMMU constants for the inlined ``translate_parts`` prologue +
     # shared-TLB probe (the shared-TLB-miss tail keeps the
-    # ``_translate_miss_parts`` method).  An instrumented IOMMU
-    # (histograms/timeline/tracer/lifetimes) keeps the full method.
+    # ``_translate_miss_parts`` method).  The IOMMU's histograms are
+    # recorded inline; a timeline, an enabled tracer or shared-TLB
+    # lifetimes keep the full method, which carries those hooks.
     iommu = h.iommu
     iommu_translate_parts = iommu.translate_parts
     stlb = iommu.shared_tlb
-    iommu_inline = (iommu._queue_hist is None and iommu._timeline is None
-                    and iommu._tracer is None
-                    and iommu._translate_hist is None
+    iommu_inline = (iommu._timeline is None
+                    and (iommu._tracer is None or not iommu._tracer.enabled)
                     and stlb.lifetimes is None)
+    queue_hist = iommu._queue_hist
+    translate_hist = iommu._translate_hist
     sampler = iommu.access_sampler
     sampler_ic = sampler.interval_cycles
     scounts = sampler._window_counts
@@ -845,12 +877,11 @@ def compile_l1only_access(h):
     iommu_tlb_latency = iommu._tlb_latency
     iommu_translate_miss = iommu._translate_miss_parts
     # Windowed-server accounting constants for the inlined bank request
-    # (all banks share one rate); banks with a delay histogram keep the
-    # method, which records into it.
-    banks_inline = all(bank.delay_histogram is None for bank in banks)
+    # (all banks share one rate and, when attached, one histogram).
     window_cycles = banks[0].WINDOW_CYCLES
     l2_rate = banks[0].rate
     l2_cap = window_cycles * l2_rate
+    bank_hist = banks[0].delay_histogram
     dram_line = _compile_dram_line(h.dram)
 
     def access(cu_id, request, now, asid=0):
@@ -934,6 +965,8 @@ def compile_l1only_access(h):
                 else:
                     service_start = port_request(t_iommu)
                 iommu.queue_cycles += service_start - t_iommu
+                if queue_hist is not None:
+                    queue_hist.record(service_start - t_iommu)
                 t_tr = service_start + iommu_tlb_latency
                 if tkey == stlb._memo_key:
                     stlb.hits += 1
@@ -949,6 +982,8 @@ def compile_l1only_access(h):
                         stlb._memo_entry = sentry
                 if sentry is not None:
                     iommu._n_tlb_hits += 1
+                    if translate_hist is not None:
+                        translate_hist.record(t_tr - t_iommu)
                     ppn = sentry.ppn
                     permissions = sentry.permissions
                     finish = t_tr
@@ -1006,29 +1041,30 @@ def compile_l1only_access(h):
 
         # The banked physical L2: a write-through store occupies the CU
         # window until it lands there; a read continues to DRAM on a miss.
+        # Inlined ``WindowedServer.request`` (see resources.py).
         server = banks[physical_line % n_banks]
         start = ready + l1_latency + l1_to_l2
-        if banks_inline:
-            # Inlined ``WindowedServer.request`` (see resources.py).
-            server.total_requests += 1
-            w = int(start // window_cycles)
-            wi = server._window_index
-            if w > wi:
-                server._window_index = w
-                count = 1.0
-                server._window_count = count
-            else:
-                if w < wi:
-                    start = wi * window_cycles
-                count = server._window_count + 1.0
-                server._window_count = count
-            overflow = count - l2_cap
-            if overflow > 0.0:
-                delay = overflow / l2_rate
-                server.total_queue_delay += delay
-                start += delay
+        server.total_requests += 1
+        w = int(start // window_cycles)
+        wi = server._window_index
+        if w > wi:
+            server._window_index = w
+            count = 1.0
+            server._window_count = count
         else:
-            start = server.request(start)
+            if w < wi:
+                start = wi * window_cycles
+            count = server._window_count + 1.0
+            server._window_count = count
+        overflow = count - l2_cap
+        if overflow > 0.0:
+            delay = overflow / l2_rate
+            server.total_queue_delay += delay
+            start += delay
+            if bank_hist is not None:
+                bank_hist.record(delay)
+        elif bank_hist is not None:
+            bank_hist.record(0.0)
         t_mem = start + l2_latency
         l2_set = l2_sets[physical_line & l2_set_mask]
         l2_line = l2_set.get(physical_line)

@@ -9,6 +9,11 @@ DRAM path.
 The IDEAL MMU variant (Figure 4) gives every CU an infinite TLB whose
 misses are satisfied instantly — translation never costs cycles, which
 isolates the pure cache/DRAM behaviour as the 1.0 reference point.
+
+This module holds the hierarchy's state, counters and software-visible
+operations.  The request path lives in one place,
+:func:`repro.system.fastpath.compile_physical_access`: every build,
+instrumented or not, installs that closure as ``access``.
 """
 
 from __future__ import annotations
@@ -16,13 +21,11 @@ from __future__ import annotations
 from typing import Dict, List, Optional
 
 from repro.engine.stats import Counters, LifetimeTracker
-from repro.gpu.coalescer import CoalescedRequest
 from repro.memsys.addressing import lines_per_page
 from repro.memsys.cache import Cache
 from repro.memsys.dram import DRAM
 from repro.memsys.iommu import IOMMU
 from repro.memsys.page_table import PageTable
-from repro.memsys.permissions import PageFault, PermissionFault
 from repro.memsys.tlb import TLB
 from repro.engine.resources import BankedServer
 from repro.system.config import SoCConfig
@@ -95,12 +98,10 @@ class PhysicalHierarchy:
         if obs is not None:
             self.l2_banks.attach_delay_histogram(
                 obs.metrics.histogram("l2.bank_queue_delay"))
-        elif not track_lifetimes:
-            # Uninstrumented build: shadow the access method with the
-            # closure-compiled fast path (bit-identical; see fastpath).
-            fast = compile_physical_access(self)
-            if fast is not None:
-                self.access = fast
+        # The closure-compiled access path is this hierarchy's only one,
+        # instrumented or not: ``access(cu_id, request, now, asid=0)``
+        # returns the request's completion time (see fastpath).
+        self.access = compile_physical_access(self)
 
     # -- counters ---------------------------------------------------------
     @property
@@ -129,219 +130,6 @@ class PhysicalHierarchy:
         if self._n_l2_writebacks:
             counters.add("l2.writebacks", self._n_l2_writebacks)
             self._n_l2_writebacks = 0
-
-    # -- translation -----------------------------------------------------
-    def _translate(self, cu_id: int, vpn: int, now: float, asid: int):
-        """Per-CU TLB, then IOMMU on a miss.  Returns (ready_time, ppn, perms, tlb_hit).
-
-        The ``tlb.accesses`` event is derived at counter-flush time from
-        the TLBs' hit/miss totals (one probe per access), so neither
-        this method nor ``access`` counts it per request.
-        """
-        tlb = self.per_cu_tlbs[cu_id]
-        key = (asid << 52) | vpn
-        # Inlined TLB.lookup: the per-CU TLBs are built without a
-        # lifetime tracker, so a hit is a micro-memo tag compare (or a
-        # dict probe + LRU refresh) and a hit count — worth skipping the
-        # method dispatch for on the single hottest translation path.
-        t = now + self.config.per_cu_tlb_latency
-        tracer = self._tracer
-        tracing = tracer is not None and tracer.enabled
-        if key == tlb._memo_key:
-            entry = tlb._memo_entry
-        else:
-            entries = tlb._entries
-            entry = entries.get(key)
-            if entry is not None:
-                entries.move_to_end(key)
-                tlb._memo_key = key
-                tlb._memo_entry = entry
-        if entry is not None:
-            tlb.hits += 1
-            if self.lifetimes is not None:
-                self.lifetimes["tlb"].on_access((cu_id, key), now)
-            if tracing:
-                tracer.emit("tlb.hit", t, cu=cu_id, vpn=vpn)
-            return t, entry.ppn, entry.permissions, True
-
-        tlb.misses += 1
-        self._n_tlb_misses += 1
-        if self._timeline is not None:
-            self._timeline.record("tlb.misses", t)
-        if tracing:
-            tracer.emit("tlb.miss", t, cu=cu_id, vpn=vpn)
-        if self.ideal:
-            # Instant fill from the page table: translation is free.
-            mapping = self.page_tables[asid].lookup(vpn)
-            if mapping is None:
-                raise PageFault(vpn, asid)
-            ppn, permissions = mapping
-            self._tlb_fill(cu_id, key, ppn, permissions, t)
-            return t, ppn, permissions, False
-
-        request_at = t + self.config.interconnect.gpu_to_iommu
-        outcome = self.iommu.translate(vpn, request_at, asid=asid)
-        ready = outcome.finish + self.config.interconnect.iommu_to_gpu
-        self._tlb_fill(cu_id, key, outcome.ppn, outcome.permissions, ready)
-        return ready, outcome.ppn, outcome.permissions, False
-
-    def _tlb_fill(self, cu_id: int, key: int, ppn: int, permissions, now: float) -> None:
-        tlb = self.per_cu_tlbs[cu_id]
-        victim = tlb.insert(key, ppn, permissions, now)
-        if self.lifetimes is not None:
-            if victim is not None:
-                self.lifetimes["tlb"].on_evict((cu_id, victim.vpn), now)
-            self.lifetimes["tlb"].on_insert((cu_id, key), now)
-
-    # -- the access path ---------------------------------------------------
-    def access(
-        self, cu_id: int, request: CoalescedRequest, now: float, asid: int = 0
-    ) -> float:
-        """Service one coalesced request; return its completion time."""
-        vpn = request.vpn
-        is_write = request.is_write
-        lpp = self._lpp
-        line_index = request.line_addr % lpp
-        if self._timeline is not None:
-            self._timeline.record("tlb.probes", now)
-
-        # Fast path: with no lifetime tracking and no tracer, a TLB hit
-        # followed by an L1 read hit is a pair of dict probes — handle
-        # both inline and skip three method dispatches per request.  The
-        # last-translation micro-memo short-circuits even the dict probe
-        # when the request stays on the MRU page (coalesced requests
-        # from one instruction usually do), and skipping its LRU refresh
-        # is a no-op because the memoized key is by construction MRU.
-        tracer = self._tracer
-        if self.lifetimes is None and (tracer is None or not tracer.enabled):
-            tlb = self.per_cu_tlbs[cu_id]
-            key = (asid << 52) | vpn
-            if key == tlb._memo_key:
-                entry = tlb._memo_entry
-                tlb.hits += 1
-            else:
-                entries = tlb._entries
-                entry = entries.get(key)
-                if entry is not None:
-                    entries.move_to_end(key)
-                    tlb.hits += 1
-                    tlb._memo_key = key
-                    tlb._memo_entry = entry
-            if entry is not None:
-                permissions = entry.permissions
-                if not permissions._value_ & (2 if is_write else 1):
-                    raise PermissionFault(vpn, is_write, permissions)
-                cfg = self.config
-                physical_line = entry.ppn * lpp + line_index
-                ready = now + cfg.per_cu_tlb_latency
-                if not is_write:
-                    l1 = self.l1s[cu_id]
-                    cache_set = l1._sets[physical_line & l1._set_mask]
-                    line = cache_set.get(physical_line)
-                    if line is not None:
-                        cache_set.move_to_end(physical_line)
-                        l1.hits += 1
-                        return ready + cfg.l1_latency
-                    l1.misses += 1
-                    return self._l1_miss_read(cu_id, physical_line, ready)
-                return self._cache_access(cu_id, physical_line, True, ready)
-
-        ready, ppn, permissions, tlb_hit = self._translate(cu_id, vpn, now, asid)
-        if not permissions._value_ & (2 if is_write else 1):
-            raise PermissionFault(vpn, is_write, permissions)
-
-        physical_line = ppn * lpp + line_index
-        if not tlb_hit:
-            self._classify_tlb_miss(cu_id, physical_line)
-
-        return self._cache_access(cu_id, physical_line, is_write, ready)
-
-    def _classify_tlb_miss(self, cu_id: int, physical_line: int) -> None:
-        """Figure 2 breakdown: where would a virtual cache have found the data?"""
-        if self.l1s[cu_id].contains(physical_line):
-            self._n_miss_l1_hit += 1
-        elif self.l2.contains(physical_line):
-            self._n_miss_l2_hit += 1
-        else:
-            self._n_miss_l2_miss += 1
-
-    def _cache_access(
-        self, cu_id: int, physical_line: int, is_write: bool, now: float
-    ) -> float:
-        l1 = self.l1s[cu_id]
-        l2 = self.l2
-        cfg = self.config
-        if is_write:
-            # Write-through, no-allocate L1: update on hit; the store
-            # occupies the CU window until it lands in the L2.
-            l1.lookup(physical_line)
-            t_l2 = now + cfg.l1_latency + cfg.interconnect.l1_to_l2
-            start = self.l2_banks.banks[l2.bank_of(physical_line)].request(t_l2)
-            t_done = start + cfg.l2_latency
-            if l2.lookup(physical_line) is not None:
-                l2.mark_dirty(physical_line)
-                if self.lifetimes is not None:
-                    self._touch_l2(physical_line, start)
-            else:
-                # Write-allocate into the write-back L2 (full-line store:
-                # no memory fetch needed).
-                self._fill_l2(physical_line, dirty=True, now=t_done)
-            return t_done
-
-        line = l1.lookup(physical_line)
-        if line is not None:
-            if self.lifetimes is not None:
-                self._touch_l1(cu_id, physical_line, now)
-            return now + cfg.l1_latency
-        return self._l1_miss_read(cu_id, physical_line, now)
-
-    def _l1_miss_read(self, cu_id: int, physical_line: int, now: float) -> float:
-        """Read path below the L1: banked L2 lookup, then DRAM on a miss.
-
-        ``now`` is the time of the L1 miss (the L1 lookup itself has
-        already been counted by the caller).
-        """
-        cfg = self.config
-        l2 = self.l2
-        t_l2 = now + cfg.l1_latency + cfg.interconnect.l1_to_l2
-        start = self.l2_banks.banks[l2.bank_of(physical_line)].request(t_l2)
-        t_hit = start + cfg.l2_latency
-        if l2.lookup(physical_line) is not None:
-            if self.lifetimes is not None:
-                self._touch_l2(physical_line, t_hit)
-            self._fill_l1(cu_id, physical_line, t_hit)
-            return t_hit + cfg.interconnect.l1_to_l2
-
-        t_mem = self.dram.access_line(t_hit)
-        self._fill_l2(physical_line, dirty=False, now=t_mem)
-        self._fill_l1(cu_id, physical_line, t_mem)
-        return t_mem + cfg.interconnect.l1_to_l2
-
-    # -- fills with lifetime accounting -------------------------------------
-    def _fill_l1(self, cu_id: int, physical_line: int, now: float) -> None:
-        victim = self.l1s[cu_id].insert(physical_line)
-        if self.lifetimes is not None:
-            if victim is not None:
-                self.lifetimes["l1"].on_evict((cu_id, victim.line_addr), now)
-            self.lifetimes["l1"].on_insert((cu_id, physical_line), now)
-
-    def _fill_l2(self, physical_line: int, dirty: bool, now: float) -> None:
-        victim = self.l2.insert(physical_line, dirty=dirty)
-        if victim is not None and victim.dirty:
-            self.dram.access_line(now)  # write-back traffic
-            self._n_l2_writebacks += 1
-        if self.lifetimes is not None:
-            if victim is not None:
-                self.lifetimes["l2"].on_evict(victim.line_addr, now)
-            self.lifetimes["l2"].on_insert(physical_line, now)
-
-    def _touch_l1(self, cu_id: int, physical_line: int, now: float) -> None:
-        if self.lifetimes is not None:
-            self.lifetimes["l1"].on_access((cu_id, physical_line), now)
-
-    def _touch_l2(self, physical_line: int, now: float) -> None:
-        if self.lifetimes is not None:
-            self.lifetimes["l2"].on_access(physical_line, now)
 
     # -- software-visible operations ------------------------------------------
     def shootdown(self, asid: int, vpn: int, now: float = 0.0) -> bool:

@@ -1,9 +1,9 @@
 """Independent count oracle for the per-CU L1s and TLBs.
 
 The oracle shares no code with the simulator: it imports nothing from
-``repro.memsys``, ``repro.core`` or ``repro.system`` (the designs and
-``simulate`` come in through the top-level ``repro`` package only to
-produce the counts under test).  It replays each CU's coalesced request
+``repro.memsys``, ``repro.core`` or ``repro.system`` (the designs,
+``simulate`` and ``Observability`` come in only to produce the counts
+under test, uninstrumented and instrumented).  It replays each CU's coalesced request
 stream through plain ``OrderedDict`` LRUs:
 
 * a 32-set, 8-way L1 that refreshes on write hits and does not allocate
@@ -28,6 +28,7 @@ from collections import OrderedDict
 import pytest
 
 from repro import BASELINE_512, L1_ONLY_VC_32, SoCConfig, simulate
+from repro.obs import Observability
 from repro.workloads import registry
 
 SCALE = 0.1
@@ -86,29 +87,41 @@ def replay(trace, translate_every_request: bool) -> dict:
     return counts
 
 
-def simulated(trace, design) -> dict:
+def simulated(trace, design, instrumented) -> dict:
     config = SoCConfig()
-    hierarchy = design.build(config, {0: trace.address_space.page_table})
+    obs = Observability() if instrumented else None
+    hierarchy = design.build(config, {0: trace.address_space.page_table},
+                             obs=obs)
     result = simulate(trace, hierarchy, design.soc_config(config),
                       design=design.name)
     return result.counters
 
 
-@pytest.fixture(scope="module", params=WORKLOADS)
-def trace(request):
-    return registry.load(request.param, scale=SCALE)
+#: Every workload runs twice: uninstrumented, and with the metrics-only
+#: ``Observability`` the service attaches to every point it computes
+#: (ids ending in ``-obs``).  Both must meet the same oracle.
+POINTS = [(w, False) for w in WORKLOADS] + [(w, True) for w in WORKLOADS]
 
 
-def test_baseline_counts_match_oracle(trace):
+@pytest.fixture(scope="module", params=POINTS,
+                ids=[w + ("-obs" if obs else "") for w, obs in POINTS])
+def point(request):
+    workload, instrumented = request.param
+    return registry.load(workload, scale=SCALE), instrumented
+
+
+def test_baseline_counts_match_oracle(point):
+    trace, instrumented = point
     expected = replay(trace, translate_every_request=True)
-    counters = simulated(trace, BASELINE_512)
+    counters = simulated(trace, BASELINE_512, instrumented)
     assert counters["l1.hits"] == expected["l1.hits"]
     assert counters["tlb.misses"] == expected["tlb.misses"]
 
 
-def test_l1_only_counts_match_oracle(trace):
+def test_l1_only_counts_match_oracle(point):
+    trace, instrumented = point
     expected = replay(trace, translate_every_request=False)
-    counters = simulated(trace, L1_ONLY_VC_32)
+    counters = simulated(trace, L1_ONLY_VC_32, instrumented)
     assert counters["l1.hits"] == expected["l1.hits"]
     assert counters["tlb.accesses"] == expected["tlb.accesses"]
     assert counters["tlb.misses"] == expected["tlb.misses"]

@@ -8,6 +8,8 @@ results.
 
 import io
 import json
+import math
+import pickle
 
 import pytest
 
@@ -26,7 +28,12 @@ from repro.obs import (
     load_manifest,
     write_manifest,
 )
-from repro.system.designs import BASELINE_512, L1_ONLY_VC_32, VC_WITH_OPT
+from repro.system.designs import (
+    BASELINE_512,
+    IDEAL_MMU,
+    L1_ONLY_VC_32,
+    VC_WITH_OPT,
+)
 from repro.system.run import simulate
 from repro.workloads.trace import MemoryInstruction, Trace
 
@@ -59,14 +66,24 @@ def reuse_trace(space, n_pages=12, rounds=6, n_cus=2):
                  issue_interval=4.0)
 
 
-def run_l1_only(small_config, obs=None):
+def run_reuse(small_config, design=L1_ONLY_VC_32, obs=None, **build_kwargs):
     space = AddressSpace(asid=0)
     trace = reuse_trace(space)
-    hierarchy = L1_ONLY_VC_32.build(small_config, {0: space.page_table},
-                                    obs=obs)
-    result = simulate(trace, hierarchy, small_config,
-                      design=L1_ONLY_VC_32.name)
+    hierarchy = design.build(small_config, {0: space.page_table}, obs=obs,
+                             **build_kwargs)
+    result = simulate(trace, hierarchy, small_config, design=design.name)
     return result, hierarchy
+
+
+def traced_obs():
+    """An ``Observability`` with a recording tracer and a timeline."""
+    obs = Observability(tracer=RecordingTracer())
+    obs.metrics.enable_timeline()
+    return obs
+
+
+def series_total(timeline, name):
+    return sum(v for _, v in timeline.series(name))
 
 
 def run_baseline(small_config, obs=None, design=BASELINE_512, **kwargs):
@@ -173,6 +190,78 @@ class TestLatencyHistogram:
         assert hist.count == 0
         assert hist.max is None
         assert hist.percentile(99) == 0.0
+
+    #: Zeros, repeats, a negative value, tiny and huge values, and values
+    #: on or next to bucket edges (powers of two and 2**(k/8)).
+    PINNED_VALUES = (
+        0.0, 0.0, 3.0, 3.0, 3.0, 1.0, 2.0, 4.0, 0.5, 2 ** 0.125, 2 ** 0.25,
+        2 ** (9 / 8), 1e-9, 1e-3, 127.0, 128.0, 129.0, 1000.5, 65536.0,
+        7.25, -1.0, 0.0,
+    )
+
+    def test_record_matches_pinned_buckets_and_summary(self):
+        # Expected values were recorded from the reference implementation
+        # of ``record``; any rewrite must keep every bucket and scalar.
+        hist = LatencyHistogram()
+        for value in self.PINNED_VALUES:
+            hist.record(value)
+        hist.record(12.0, count=3)
+        hist.record(0.0, count=2)
+        assert hist.as_dict() == {
+            "count": 27, "mean": 2480.8782122338516, "min": -1.0,
+            "max": 65536.0, "p50": 2.277577269513383,
+            "p95": 980.5857594353392, "p99": 65536.0,
+        }
+        assert hist.total == 66983.711730314
+        assert hist._zero_count == 6
+        assert hist._buckets == {
+            -240: 1, -80: 1, -8: 1, 0: 1, 1: 2, 8: 1, 9: 1, 12: 3, 16: 1,
+            22: 1, 28: 3, 55: 1, 56: 2, 79: 1, 128: 1,
+        }
+        coarse = LatencyHistogram(sub_buckets_per_octave=4)
+        for value in self.PINNED_VALUES:
+            coarse.record(value)
+        assert coarse.as_dict() == {
+            "count": 22, "mean": 3043.0778059233635, "min": -1.0,
+            "max": 65536.0, "p50": 2.1810154653305154,
+            "p95": 939.0121402415831, "p99": 65536.0,
+        }
+        assert coarse._zero_count == 4
+        assert coarse._buckets == {
+            -120: 1, -40: 1, -4: 1, 0: 3, 4: 2, 6: 3, 8: 1, 11: 1, 27: 1,
+            28: 2, 39: 1, 64: 1,
+        }
+
+    def test_bucket_index_memo_is_exact_bounded_and_not_pickled(self):
+        values = [1.0 + i / 7.0 for i in range(3000)] * 2
+        hist = LatencyHistogram()
+        for value in values:
+            hist.record(value)
+        growth = math.log(2.0) / hist.sub_buckets_per_octave
+        expected = {}
+        for value in values:
+            index = math.floor(math.log(value) / growth)
+            expected[index] = expected.get(index, 0) + 1
+        assert hist._buckets == expected
+        assert 0 < len(hist._index_of) <= 1024
+        clone = pickle.loads(pickle.dumps(hist))
+        assert clone._index_of == {}
+        assert clone.as_dict() == hist.as_dict()
+        assert clone._buckets == hist._buckets
+        clone.record(2.5)
+        assert clone.count == hist.count + 1
+
+    def test_min_and_max_are_none_until_a_value_is_recorded(self):
+        hist = LatencyHistogram()
+        assert (hist.min, hist.max) == (None, None)
+        assert hist.as_dict()["min"] == hist.as_dict()["max"] == 0.0
+        hist.record(-2.5)
+        assert (hist.min, hist.max) == (-2.5, -2.5)
+        empty = LatencyHistogram()
+        empty.merge(hist)
+        assert (empty.min, empty.max) == (-2.5, -2.5)
+        hist.merge(LatencyHistogram())
+        assert (hist.min, hist.max) == (-2.5, -2.5)
 
 
 class TestMetricsRegistry:
@@ -340,19 +429,77 @@ class TestSimulationWithObservability:
 
     def test_l1_only_results_bit_identical_with_tracing_off_vs_on(
             self, small_config):
-        plain, _ = run_l1_only(small_config)
-        obs = Observability(tracer=RecordingTracer())
-        obs.metrics.enable_timeline()
-        traced, _ = run_l1_only(small_config, obs=obs)
+        plain, _ = run_reuse(small_config)
+        traced, _ = run_reuse(small_config, obs=traced_obs())
         assert plain.cycles == traced.cycles
         assert plain.counters == traced.counters
         assert plain.requests == traced.requests
 
+    @pytest.mark.parametrize("design,track_lifetimes", [
+        (BASELINE_512, False), (BASELINE_512, True), (IDEAL_MMU, False),
+        (VC_WITH_OPT, False),
+    ], ids=["baseline", "baseline-lifetimes", "ideal", "vc"])
+    def test_physical_and_vc_results_bit_identical_obs_off_vs_on(
+            self, small_config, design, track_lifetimes):
+        kwargs = {"track_lifetimes": True} if track_lifetimes else {}
+        plain, plain_h = run_reuse(small_config, design, **kwargs)
+        traced, traced_h = run_reuse(small_config, design, obs=traced_obs(),
+                                     **kwargs)
+        assert plain.cycles == traced.cycles
+        assert plain.counters == traced.counters
+        assert plain.requests == traced.requests
+        if track_lifetimes:
+            for name, tracker in plain_h.lifetimes.items():
+                other = traced_h.lifetimes[name]
+                assert tracker.residence_times == other.residence_times
+                assert tracker.active_lifetimes == other.active_lifetimes
+
+    def test_instrumented_physical_runs_the_compiled_path(self, small_config):
+        obs = traced_obs()
+        result, hierarchy = run_reuse(small_config, BASELINE_512, obs=obs)
+        assert hierarchy.access.__qualname__ == \
+            "compile_physical_access.<locals>.access"
+        counters = result.counters
+        tracer, timeline = obs.tracer, obs.metrics.timeline
+        hits, misses = tracer.of_type("tlb.hit"), tracer.of_type("tlb.miss")
+        assert hits and misses
+        assert len(misses) == counters["tlb.misses"]
+        assert len(hits) + len(misses) == counters["tlb.accesses"] == \
+            result.requests
+        assert series_total(timeline, "tlb.probes") == counters["tlb.accesses"]
+        assert series_total(timeline, "tlb.misses") == counters["tlb.misses"]
+        bank_requests = sum(b.total_requests for b in hierarchy.l2_banks.banks)
+        assert bank_requests > 0
+        assert obs.metrics.histograms()["l2.bank_queue_delay"].count == \
+            bank_requests
+
+    def test_instrumented_vc_runs_the_compiled_path(self, small_config):
+        obs = traced_obs()
+        result, hierarchy = run_reuse(small_config, VC_WITH_OPT, obs=obs)
+        assert hierarchy.access.__qualname__ == \
+            "compile_virtual_access.<locals>.access"
+        counters = result.counters
+        tracer, timeline = obs.tracer, obs.metrics.timeline
+        for event, series, counter in (
+                ("vc.l1_hit", "vc.l1_hits", "vc.l1_hits"),
+                ("vc.l2_hit", "vc.l2_hits", "vc.l2_hits"),
+                ("vc.miss", "vc.l2_misses", "vc.l2_misses")):
+            assert counters[counter] > 0
+            assert len(tracer.of_type(event)) == counters[counter]
+            assert series_total(timeline, series) == counters[counter]
+        assert series_total(timeline, "vc.accesses") == \
+            counters["vc.accesses"] == result.requests
+        # Every translation is followed by exactly one FBT consultation.
+        assert series_total(timeline, "fbt.lookups") == \
+            counters["iommu.accesses"]
+        bank_requests = sum(b.total_requests for b in hierarchy.l2_banks.banks)
+        assert obs.metrics.histograms()["l2.bank_queue_delay"].count == \
+            bank_requests
+
     def test_instrumented_l1_only_runs_the_compiled_path(self, small_config):
-        tracer = RecordingTracer()
-        obs = Observability(tracer=tracer)
-        timeline = obs.metrics.enable_timeline()
-        result, hierarchy = run_l1_only(small_config, obs=obs)
+        obs = traced_obs()
+        tracer, timeline = obs.tracer, obs.metrics.timeline
+        result, hierarchy = run_reuse(small_config, obs=obs)
         # One access path: the closure, even with obs attached.
         assert hierarchy.access.__qualname__ == \
             "compile_l1only_access.<locals>.access"
@@ -364,14 +511,11 @@ class TestSimulationWithObservability:
         assert len(tracer.of_type("tlb.hit")) + counters["tlb.misses"] == \
             counters["tlb.accesses"]
 
-        def total(name):
-            return sum(v for _, v in timeline.series(name))
-
-        assert total("vc.accesses") == counters["vc.accesses"] == \
-            result.requests
-        assert total("tlb.probes") == counters["tlb.accesses"]
-        assert total("tlb.misses") == counters["tlb.misses"]
-        assert total("vc.l1_hits") == l1_read_hits
+        assert series_total(timeline, "vc.accesses") == \
+            counters["vc.accesses"] == result.requests
+        assert series_total(timeline, "tlb.probes") == counters["tlb.accesses"]
+        assert series_total(timeline, "tlb.misses") == counters["tlb.misses"]
+        assert series_total(timeline, "vc.l1_hits") == l1_read_hits
         bank_requests = sum(b.total_requests for b in hierarchy.l2_banks.banks)
         assert bank_requests > 0
         assert obs.metrics.histograms()["l2.bank_queue_delay"].count == \
