@@ -212,29 +212,27 @@ class VirtualCacheHierarchy:
         cu_id: int,
         asid: int,
         vpn: int,
-        vline: int,
         line_index: int,
-        is_write: bool,
         now: float,
-        fill_l1: bool = True,
     ) -> float:
-        """Translate, consult the FBT, and fetch on a whole-hierarchy miss.
+        """Translate, consult the FBT, and allocate a write in the L2.
 
-        The access closure inlines the common spine of this path; it
-        calls the method for the non-inclusive write-allocate (an L1
-        write hit that misses the L2).
+        The access closure inlines the common whole-hierarchy miss
+        spine; it calls this method only for the non-inclusive
+        write-allocate (an L1 write hit that misses the L2), so the
+        access is always a write and never fills an L1.
         """
         cfg = self.config
         t_iommu = now + cfg.interconnect.gpu_to_iommu
         outcome = self.iommu.translate(vpn, t_iommu, asid=asid)
-        if not outcome.permissions._value_ & (2 if is_write else 1):
-            raise PermissionFault(vpn, is_write, outcome.permissions)
+        if not outcome.permissions._value_ & 2:
+            raise PermissionFault(vpn, True, outcome.permissions)
 
         t_fbt = outcome.finish + cfg.interconnect.l2_to_fbt + cfg.interconnect.fbt_lookup
         if self._timeline is not None:
             self._timeline.record("fbt.lookups", t_fbt)
         check = self.fbt.check_access(
-            asid, vpn, outcome.ppn, outcome.permissions, line_index, is_write,
+            asid, vpn, outcome.ppn, outcome.permissions, line_index, True,
             is_large=outcome.is_large,
             large_base_vpn=outcome.large_base_vpn,
             large_base_ppn=outcome.large_base_ppn,
@@ -244,24 +242,15 @@ class VirtualCacheHierarchy:
 
         if check.status == "synonym":
             return self._synonym_replay(
-                cu_id, asid, vpn, check, outcome.ppn, line_index, is_write,
-                t_fbt, fill_l1,
+                cu_id, asid, vpn, check, outcome.ppn, line_index, True, t_fbt,
             )
 
-        # Leading (or brand-new leading) access: place the data under
-        # the requested — leading — virtual address.  Writes allocate in
-        # the write-back L2 without a memory fetch (full-line store);
-        # reads fetch the line from DRAM first.
-        if is_write:
-            self._fill_l2(asid, vpn, line_index, outcome.ppn, True,
-                          outcome.permissions, t_fbt)
-            return t_fbt + cfg.interconnect.l1_to_l2
-        t_mem = self.dram.access_line(t_fbt)
-        self._fill_l2(asid, vpn, line_index, outcome.ppn, False, outcome.permissions, t_mem)
-        if fill_l1:
-            self._fill_l1(cu_id, asid, vpn, (asid << _ASID_SHIFT) | vline,
-                          outcome.permissions)
-        return t_mem + cfg.interconnect.l1_to_l2
+        # Leading (or brand-new leading) access: the write allocates
+        # under the requested — leading — virtual address in the
+        # write-back L2, without a memory fetch (full-line store).
+        self._fill_l2(asid, vpn, line_index, outcome.ppn, True,
+                      outcome.permissions, t_fbt)
+        return t_fbt + cfg.interconnect.l1_to_l2
 
     def _synonym_replay(
         self,
@@ -273,7 +262,6 @@ class VirtualCacheHierarchy:
         line_index: int,
         is_write: bool,
         now: float,
-        fill_l1: bool,
     ) -> float:
         """Replay a synonym access with the page's leading virtual address."""
         cfg = self.config
@@ -304,7 +292,7 @@ class VirtualCacheHierarchy:
             else:
                 if is_write:
                     self.l2.mark_dirty(lead_key)
-                elif fill_l1:
+                else:
                     self._fill_l1(cu_id, check.leading_asid, check.leading_vpn,
                                   lead_key, line.permissions)
                 return t_hit + cfg.interconnect.l1_to_l2
@@ -318,9 +306,8 @@ class VirtualCacheHierarchy:
         t_mem = self.dram.access_line(t_replay)
         self._fill_l2(check.leading_asid, check.leading_vpn, line_index, ppn,
                       False, check.entry.permissions, t_mem)
-        if fill_l1:
-            self._fill_l1(cu_id, check.leading_asid, check.leading_vpn, lead_key,
-                          check.entry.permissions)
+        self._fill_l1(cu_id, check.leading_asid, check.leading_vpn, lead_key,
+                      check.entry.permissions)
         return t_mem + cfg.interconnect.l1_to_l2
 
     # -- invalidation machinery ---------------------------------------------

@@ -364,34 +364,6 @@ def build_parser() -> argparse.ArgumentParser:
         "--chaos-workloads", metavar="W1,W2,...", default="bfs,kmeans",
         help="comma-separated workloads to fault-inject (default: bfs,kmeans)",
     )
-    chaos_group.add_argument(
-        "--net", action="store_true",
-        help="network chaos instead of VM-event chaos: spawn a sharded "
-             "gateway whose replica links run through a seeded "
-             "fault-injecting TCP proxy (resets, black-holes, slow-loris, "
-             "corruption, truncation, latency) and assert zero wrong "
-             "results and a bounded error rate",
-    )
-    chaos_group.add_argument(
-        "--net-rates", metavar="KIND=R,...", default=None,
-        help="per-connection network fault rates, e.g. "
-             "'reset=0.2,corrupt=0.1'; kinds: latency, reset, blackhole, "
-             "slowloris, corrupt, truncate (default: every kind in play, "
-             "~45%% of connections faulted)",
-    )
-    chaos_group.add_argument(
-        "--net-replicas", type=int, default=2, metavar="N",
-        help="replicas behind the chaos gateway (default: 2)",
-    )
-    chaos_group.add_argument(
-        "--net-requests", type=int, default=32, metavar="N",
-        help="client requests driven through the faulted gateway "
-             "(default: 32)",
-    )
-    chaos_group.add_argument(
-        "--net-out", metavar="PATH", default=None,
-        help="write the network-chaos report JSON to PATH",
-    )
     serve_group = parser.add_argument_group(
         "serve options (only with the 'serve' experiment)")
     serve_group.add_argument(
@@ -413,25 +385,6 @@ def build_parser() -> argparse.ArgumentParser:
         help="maximum distinct points batched into one wave (default: 64)",
     )
     serve_group.add_argument(
-        "--replicas", type=int, default=0, metavar="N",
-        help="front N 'repro-experiment serve' subprocess replicas with a "
-             "consistent-hash sharding gateway on --host:--port; the "
-             "replicas share --cache-dir as a common disk tier "
-             "(default: 0, a plain single-process service)",
-    )
-    serve_group.add_argument(
-        "--replica-urls", metavar="HOST:PORT,...", default=None,
-        help="shard across already-running services at these addresses "
-             "instead of spawning replicas (the gateway health-checks and "
-             "routes but never starts or stops them; IPv6 as [ADDR]:PORT)",
-    )
-    serve_group.add_argument(
-        "--health-interval", type=float, default=0.5, metavar="SECONDS",
-        help="gateway health-probe period (jittered ±20%%); 3 consecutive "
-             "failed probes evict the replica from the hash ring until it "
-             "recovers (default: 0.5)",
-    )
-    serve_group.add_argument(
         "--max-inflight", type=int, default=None, metavar="N",
         help="admission-control budget: shed work (HTTP 429 with a "
              "Retry-After hint) once N points are queued or in flight "
@@ -441,13 +394,7 @@ def build_parser() -> argparse.ArgumentParser:
         "--jobs-journal", metavar="PATH", default=None,
         help="persist submitted /v1/jobs to a crash-safe journal at PATH; "
              "a restarted server resumes unfinished jobs and still serves "
-             "finished results (plain serve only, not --replicas)",
-    )
-    serve_group.add_argument(
-        "--no-supervise", action="store_true",
-        help="gateway mode: do not respawn dead managed replicas (default: "
-             "a dead replica is respawned with capped exponential backoff, "
-             "and a flapping one trips the give-up alarm)",
+             "finished results",
     )
     loadtest_group = parser.add_argument_group(
         "loadtest options (only with the 'loadtest' experiment)")
@@ -473,33 +420,6 @@ def build_parser() -> argparse.ArgumentParser:
     loadtest_group.add_argument(
         "--lt-out", metavar="PATH", default=None,
         help="write the per-level latency/throughput report JSON to PATH",
-    )
-    loadtest_group.add_argument(
-        "--lt-replicas", metavar="N1,N2,...", default=None,
-        help="shard-scaling mode: sweep the mixed hot/cold stream against "
-             "a locally spawned gateway at each replica count (e.g. 1,2,3) "
-             "and report the scaling curve; mutually exclusive with "
-             "--lt-target",
-    )
-    loadtest_group.add_argument(
-        "--lt-cold-points", metavar="W/D,...", default=None,
-        help="cold (cache-missing) points interleaved into the client "
-             "stream; shard mode defaults to a built-in cold set",
-    )
-    loadtest_group.add_argument(
-        "--lt-cold-every", type=int, default=0, metavar="N",
-        help="make every Nth request per client a cold point "
-             "(default: 0, hot-only; shard mode defaults to 8)",
-    )
-    loadtest_group.add_argument(
-        "--lt-batch-window", type=float, default=None, metavar="SECONDS",
-        help="batch window for self-spawned services/replicas "
-             "(default: 0.002 plain, 0.04 shard)",
-    )
-    loadtest_group.add_argument(
-        "--lt-max-batch", type=int, default=None, metavar="N",
-        help="max points per wave for self-spawned services/replicas "
-             "(default: 64 plain, 4 shard)",
     )
     dash_group = parser.add_argument_group(
         "dashboard options (only with the 'dashboard' experiment)")
@@ -625,59 +545,25 @@ def main(argv=None) -> int:
             print("repro-experiment: error: --lt-requests must be >= 1",
                   file=sys.stderr)
             return 2
-        def _parse_points(text, flag):
-            parsed = []
-            for chunk in text.split(","):
-                chunk = chunk.strip()
-                if not chunk:
-                    continue
-                workload, sep, design = chunk.partition("/")
-                if not sep or not workload or not design:
-                    print(f"repro-experiment: error: {flag} entry "
-                          f"{chunk!r} is not WORKLOAD/DESIGN",
-                          file=sys.stderr)
-                    return None
-                parsed.append((workload, design))
-            return parsed
-
-        points = _parse_points(args.lt_points, "--lt-points")
-        if points is None:
-            return 2
+        points = []
+        for chunk in args.lt_points.split(","):
+            chunk = chunk.strip()
+            if not chunk:
+                continue
+            workload, sep, design = chunk.partition("/")
+            if not sep or not workload or not design:
+                print(f"repro-experiment: error: --lt-points entry "
+                      f"{chunk!r} is not WORKLOAD/DESIGN", file=sys.stderr)
+                return 2
+            points.append((workload, design))
         if not points:
             print("repro-experiment: error: --lt-points needs at least "
                   "one WORKLOAD/DESIGN point", file=sys.stderr)
             return 2
-        cold_points = []
-        if args.lt_cold_points is not None:
-            cold_points = _parse_points(args.lt_cold_points,
-                                        "--lt-cold-points")
-            if cold_points is None:
-                return 2
-        if args.lt_cold_every < 0:
-            print("repro-experiment: error: --lt-cold-every must be >= 0",
-                  file=sys.stderr)
-            return 2
-        replica_counts = None
-        if args.lt_replicas is not None:
-            try:
-                replica_counts = tuple(
-                    int(n) for n in args.lt_replicas.split(",") if n.strip())
-            except ValueError:
-                print(f"repro-experiment: error: --lt-replicas "
-                      f"{args.lt_replicas!r} is not a comma-separated list "
-                      f"of integers", file=sys.stderr)
-                return 2
-            if not replica_counts or any(n < 1 for n in replica_counts):
-                print("repro-experiment: error: --lt-replicas needs at "
-                      "least one positive replica count", file=sys.stderr)
-                return 2
         return loadtest.main(
             target=args.lt_target, levels=levels,
             requests_per_client=args.lt_requests, points=points,
             scale=args.scale, jobs=args.jobs, out=args.lt_out,
-            replica_counts=replica_counts, cold_points=cold_points,
-            cold_every=args.lt_cold_every,
-            batch_window=args.lt_batch_window, max_batch=args.lt_max_batch,
         )
     if args.experiment == "dashboard":
         from repro.experiments import dashboard
@@ -716,54 +602,10 @@ def main(argv=None) -> int:
             print("repro-experiment: error: --max-batch must be >= 1",
                   file=sys.stderr)
             return 2
-        if args.replicas < 0:
-            print("repro-experiment: error: --replicas must be >= 0",
-                  file=sys.stderr)
-            return 2
-        if args.health_interval <= 0:
-            print("repro-experiment: error: --health-interval must be "
-                  "positive", file=sys.stderr)
-            return 2
         if args.max_inflight is not None and args.max_inflight < 1:
             print("repro-experiment: error: --max-inflight must be >= 1",
                   file=sys.stderr)
             return 2
-        if args.replicas > 0 or args.replica_urls is not None:
-            from repro.service.gateway import run_gateway
-
-            if args.jobs_journal is not None:
-                print("repro-experiment: error: --jobs-journal applies to "
-                      "a plain serve, not --replicas (each replica would "
-                      "need its own journal)", file=sys.stderr)
-                return 2
-            replica_urls = None
-            if args.replica_urls is not None:
-                replica_urls = [u.strip()
-                                for u in args.replica_urls.split(",")
-                                if u.strip()]
-                if not replica_urls:
-                    print("repro-experiment: error: --replica-urls needs "
-                          "at least one HOST:PORT", file=sys.stderr)
-                    return 2
-            try:
-                return run_gateway(
-                    host=args.host, port=args.port,
-                    replicas=args.replicas or 2,
-                    replica_urls=replica_urls,
-                    jobs=args.jobs, scale=args.scale,
-                    cache_dir=args.cache_dir,
-                    check_invariants=args.check_invariants,
-                    batch_window=args.batch_window,
-                    max_batch=args.max_batch,
-                    health_interval=args.health_interval,
-                    max_inflight=args.max_inflight,
-                    supervise=not args.no_supervise,
-                    trace_out=args.trace_out,
-                    metrics_out=args.metrics_out,
-                )
-            except (ValueError, RuntimeError) as exc:
-                print(f"repro-experiment: error: {exc}", file=sys.stderr)
-                return 2
         return run_server(
             host=args.host, port=args.port, jobs=args.jobs,
             scale=args.scale, cache_dir=args.cache_dir,
@@ -777,22 +619,6 @@ def main(argv=None) -> int:
             trace_out=args.trace_out, metrics_out=args.metrics_out,
         )
     if args.experiment == "chaos":
-        if args.net:
-            from repro.experiments import netchaos
-
-            if args.net_replicas < 1:
-                print("repro-experiment: error: --net-replicas must be >= 1",
-                      file=sys.stderr)
-                return 2
-            if args.net_requests < 1:
-                print("repro-experiment: error: --net-requests must be >= 1",
-                      file=sys.stderr)
-                return 2
-            return netchaos.main(
-                rates_text=args.net_rates, seed=args.chaos_seed,
-                replicas=args.net_replicas, requests=args.net_requests,
-                scale=args.scale, out=args.net_out,
-            )
         from repro.experiments import chaos
 
         try:

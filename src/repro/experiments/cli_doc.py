@@ -48,18 +48,16 @@ EXPERIMENT_DESCRIPTIONS: Dict[str, str] = {
     "chaos": "Deterministic VM-event fault injection under invariant "
              "audit (see the chaos options below).",
     "serve": "Long-running simulation service over HTTP: batching, "
-             "single-flight coalescing, cache-tier provenance, /metrics "
-             "and /healthz; --replicas N shards it behind a "
-             "consistent-hash gateway (see the serve options below).",
+             "single-flight coalescing, cache-tier provenance, admission "
+             "control, deadlines, durable jobs, /v1/sweep, /metrics and "
+             "/healthz (see the serve options below).",
     "dashboard": "Render the translation-bandwidth telemetry dashboard "
                  "(IOMMU queue-depth / filter-rate timelines, traffic "
                  "breakdown) as a self-contained HTML page (see the "
                  "dashboard options below).",
-    "loadtest": "Concurrency sweep against the simulation service: "
-                "p50/p95/p99 latency, throughput, and the saturation "
-                "knee; --lt-replicas sweeps a sharded gateway and "
-                "reports the scaling curve (see the loadtest options "
-                "below).",
+    "loadtest": "Closed-loop concurrency sweep against the simulation "
+                "service: p50/p95/p99 latency, throughput, and the "
+                "saturation knee (see the loadtest options below).",
     "trace": "Render a JSON-lines trace file as a span tree "
              "('trace show', see the trace options below).",
     "sweep": "Run a declarative SweepSpec JSON file ('sweep SPEC.json') "

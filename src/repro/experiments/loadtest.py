@@ -1,4 +1,4 @@
-"""Closed-loop load test for the experiment service and shard gateway.
+"""Closed-loop load test for the experiment service.
 
 Drives N concurrent clients against a running
 :class:`~repro.service.server.ExperimentService` (or one it spawns
@@ -26,21 +26,10 @@ previous response lands), so offered load scales with the number of
 clients and the latency distribution is honest — there is no
 coordinated-omission distortion from a paced open loop.
 
-Two stream shapes are supported:
-
-* the default *batch* stream — every request carries the full point
-  list (the PR 6 behaviour), and
-* a *mixed hot/cold* stream (``cold_points`` + ``cold_every``) — each
-  request carries one point, clients rotate through the hot set with
-  offset phases, and every ``cold_every``-th request touches a point
-  from the larger cold set instead.  Single-point requests are what a
-  consistent-hash gateway actually shards, and the periodic cold
-  touches keep the shared disk tier and the ring's tail in play.
-
-:func:`shard_sweep` repeats the whole sweep against a locally spawned
-:class:`~repro.service.gateway.ShardGateway` at increasing replica
-counts over one shared disk cache, producing the scaling curve
-committed as ``benchmarks/perf/BENCH_PR7_shard.json``.
+Every request carries the full point list.  After the warm-up request
+those points are cache hits, so the sweep measures the warm service
+path; mixed hot and cold traffic is what the ``serve-mixed`` open loop
+in ``perfbench/`` measures.
 
 Usage::
 
@@ -48,7 +37,6 @@ Usage::
     repro-experiment loadtest --lt-clients 1,2,4,8,16 --lt-requests 50
     repro-experiment loadtest --lt-target 127.0.0.1:8000   # running server
     repro-experiment loadtest --lt-target '[::1]:8000'     # IPv6 target
-    repro-experiment loadtest --lt-replicas 1,2,3          # shard sweep
 """
 
 from __future__ import annotations
@@ -75,14 +63,10 @@ __all__ = [
     "FAILURE_CLASSES",
     "LevelResult",
     "LoadtestReport",
-    "SHARD_COLD_POINTS",
-    "SHARD_HOT_POINTS",
-    "ShardReport",
     "classify_failure",
     "find_knee",
     "main",
     "run",
-    "shard_sweep",
 ]
 
 #: Failure classes a level breaks its failures down into: ``shed``
@@ -115,25 +99,10 @@ DEFAULT_LEVELS: Tuple[int, ...] = (1, 2, 4, 8)
 #: test loads the service path rather than the simulator.
 DEFAULT_POINTS: Tuple[Tuple[str, str], ...] = (("bfs", "baseline-512"),)
 
-#: Hot set for the shard sweep: distinct points spread over the hash
-#: ring so every replica owns a share of the hot stream.  There are at
-#: least as many hot points as the deepest swept concurrency level, so
-#: concurrent clients drive *distinct* fingerprints — otherwise
-#: single-flight coalescing retires many requests per wave and inflates
-#: the unsharded baseline.
-SHARD_HOT_POINTS: Tuple[Tuple[str, str], ...] = tuple(
-    (workload, design)
-    for workload in ("bfs", "kmeans", "pagerank", "hotspot")
-    for design in ("baseline-512", "ideal-mmu", "vc-with-opt",
-                   "baseline-16k", "baseline-128-entry-tlbs-16k",
-                   "l1-only-vc-128"))
-
-#: Cold set for the shard sweep: rarely-touched points that land on the
-#: shared disk tier the first time each replica sees them.
-SHARD_COLD_POINTS: Tuple[Tuple[str, str], ...] = tuple(
-    (workload, design)
-    for workload in ("pathfinder", "nw")
-    for design in ("baseline-512", "vc-w-o-opt", "l1-only-vc-32"))
+#: Batch window (seconds) and maximum wave size of the self-spawned
+#: service.
+SPAWNED_BATCH_WINDOW = 0.002
+SPAWNED_MAX_BATCH = 64
 
 #: Throughput must improve by at least this factor per doubling of
 #: clients to count as "still scaling"; below it, the knee is called.
@@ -193,8 +162,6 @@ class LoadtestReport:
     requests_per_client: int
     levels: List[LevelResult] = field(default_factory=list)
     knee_concurrency: Optional[int] = None
-    cold_points: List[Tuple[str, str]] = field(default_factory=list)
-    cold_every: int = 0
 
     @property
     def ok(self) -> bool:
@@ -204,21 +171,16 @@ class LoadtestReport:
         return {
             "target": self.target,
             "points": [list(p) for p in self.points],
-            "cold_points": [list(p) for p in self.cold_points],
-            "cold_every": self.cold_every,
             "requests_per_client": self.requests_per_client,
             "levels": [level.as_dict() for level in self.levels],
             "knee_concurrency": self.knee_concurrency,
         }
 
     def render(self) -> str:
-        stream = (f", 1 cold in {self.cold_every} from "
-                  f"{len(self.cold_points)} cold point(s)"
-                  if self.cold_every and self.cold_points else "")
         lines = [
             f"Service load test against {self.target} "
             f"({self.requests_per_client} requests/client, "
-            f"points: {', '.join('/'.join(p) for p in self.points)}{stream})",
+            f"points: {', '.join('/'.join(p) for p in self.points)})",
             "",
             f"{'clients':>7s} {'req':>6s} {'fail':>5s} {'shed%':>6s} "
             f"{'req/s':>9s} {'p50 ms':>9s} {'p95 ms':>9s} {'p99 ms':>9s}",
@@ -282,39 +244,8 @@ def find_knee(levels: Sequence[LevelResult],
     return None
 
 
-def _request_schedule(
-    client_index: int,
-    n_requests: int,
-    points: Sequence[Tuple[str, str]],
-    cold_points: Sequence[Tuple[str, str]],
-    cold_every: int,
-) -> List[List[Tuple[str, str]]]:
-    """The per-request point lists one closed-loop client will issue.
-
-    Without a cold set every request carries the full ``points`` list
-    (the original batch stream).  With one, each request carries a
-    single point: clients walk the hot set with phase offset
-    ``client_index`` (so concurrent clients spread over the ring
-    instead of convoying on one replica), and every ``cold_every``-th
-    request substitutes the next cold point.
-    """
-    if not cold_points or cold_every <= 0:
-        return [list(points)] * n_requests
-    hot = [[tuple(p)] for p in points]
-    cold = [[tuple(p)] for p in cold_points]
-    schedule: List[List[Tuple[str, str]]] = []
-    cold_seen = 0
-    for i in range(n_requests):
-        if (i + 1) % cold_every == 0:
-            schedule.append(cold[(client_index + cold_seen) % len(cold)])
-            cold_seen += 1
-        else:
-            schedule.append(hot[(client_index + i) % len(hot)])
-    return schedule
-
-
 def _client_loop(host: str, port: int,
-                 schedule: List[List[Tuple[str, str]]],
+                 points: List[Tuple[str, str]], n_requests: int,
                  barrier: threading.Barrier,
                  latencies: List[float], failures: Dict[str, int],
                  lock: threading.Lock) -> None:
@@ -323,10 +254,10 @@ def _client_loop(host: str, port: int,
     local_fail: Dict[str, int] = {}
     with ServiceClient(host, port, timeout=120.0) as client:
         barrier.wait()
-        for request_points in schedule:
+        for _ in range(n_requests):
             start = time.perf_counter()
             try:
-                client.simulate(request_points)
+                client.simulate(points)
             except (ServiceError, OSError, TimeoutError) as exc:
                 cls = classify_failure(exc)
                 local_fail[cls] = local_fail.get(cls, 0) + 1
@@ -340,9 +271,7 @@ def _client_loop(host: str, port: int,
 
 def _run_level(host: str, port: int, concurrency: int,
                points: List[Tuple[str, str]],
-               n_requests: int,
-               cold_points: Sequence[Tuple[str, str]] = (),
-               cold_every: int = 0) -> LevelResult:
+               n_requests: int) -> LevelResult:
     latencies: List[float] = []
     failures: Dict[str, int] = {}
     lock = threading.Lock()
@@ -350,9 +279,7 @@ def _run_level(host: str, port: int, concurrency: int,
     threads = [
         threading.Thread(
             target=_client_loop,
-            args=(host, port,
-                  _request_schedule(i, n_requests, points, cold_points,
-                                    cold_every),
+            args=(host, port, points, n_requests,
                   barrier, latencies, failures, lock),
             name=f"loadtest-client-{i}", daemon=True)
         for i in range(concurrency)
@@ -390,179 +317,23 @@ def run(
     levels: Sequence[int] = DEFAULT_LEVELS,
     requests_per_client: int = 8,
     points: Sequence[Tuple[str, str]] = DEFAULT_POINTS,
-    cold_points: Sequence[Tuple[str, str]] = (),
-    cold_every: int = 0,
 ) -> LoadtestReport:
     """Sweep the concurrency levels against an already-running service.
 
-    A single warm-up request primes the cache tiers first (hot *and*
-    cold points), so every timed level measures the steady-state
-    service path instead of one level absorbing the initial simulation
-    cost.  ``cold_points``/``cold_every`` switch the clients to the
-    mixed hot/cold single-point stream (see the module docstring).
+    A single warm-up request primes the cache tiers first, so every
+    timed level measures the steady-state service path instead of one
+    level absorbing the initial simulation cost.
     """
     points = [tuple(p) for p in points]
-    cold_points = [tuple(p) for p in cold_points]
     with ServiceClient(host, port, timeout=600.0) as client:
-        client.simulate(points + cold_points)  # warm the cache tiers
+        client.simulate(points)  # warm the cache tiers
     report = LoadtestReport(
         target=_format_target(host, port), points=list(points),
-        requests_per_client=requests_per_client,
-        cold_points=list(cold_points), cold_every=cold_every)
+        requests_per_client=requests_per_client)
     for concurrency in levels:
         report.levels.append(
-            _run_level(host, port, concurrency, points, requests_per_client,
-                       cold_points=cold_points, cold_every=cold_every))
+            _run_level(host, port, concurrency, points, requests_per_client))
     report.knee_concurrency = find_knee(report.levels)
-    return report
-
-
-@dataclass
-class ShardReport:
-    """The scaling curve of one gateway sweep over replica counts."""
-
-    replica_counts: List[int]
-    levels: List[int]
-    requests_per_client: int
-    points: List[Tuple[str, str]]
-    cold_points: List[Tuple[str, str]]
-    cold_every: int
-    mode: str
-    scale: float
-    batch_window: float
-    max_batch: int
-    reports: Dict[int, LoadtestReport] = field(default_factory=dict)
-
-    @property
-    def ok(self) -> bool:
-        return bool(self.reports) and all(
-            r.ok for r in self.reports.values())
-
-    def best_throughput(self, count: int) -> float:
-        report = self.reports[count]
-        return max((level.throughput_rps for level in report.levels),
-                   default=0.0)
-
-    def speedups(self) -> Dict[int, float]:
-        """Best throughput per count relative to the first swept count."""
-        if not self.reports:
-            return {}
-        base = self.best_throughput(self.replica_counts[0])
-        if base <= 0:
-            return {count: 0.0 for count in self.replica_counts}
-        return {count: self.best_throughput(count) / base
-                for count in self.replica_counts}
-
-    def as_dict(self) -> Dict[str, object]:
-        speedups = self.speedups()
-        return {
-            "replica_counts": list(self.replica_counts),
-            "levels": list(self.levels),
-            "requests_per_client": self.requests_per_client,
-            "points": [list(p) for p in self.points],
-            "cold_points": [list(p) for p in self.cold_points],
-            "cold_every": self.cold_every,
-            "mode": self.mode,
-            "scale": self.scale,
-            "batch_window": self.batch_window,
-            "max_batch": self.max_batch,
-            "best_throughput_rps": {
-                str(count): round(self.best_throughput(count), 1)
-                for count in self.replica_counts},
-            "speedup_vs_first": {
-                str(count): round(speedups.get(count, 0.0), 3)
-                for count in self.replica_counts},
-            "knee_concurrency": {
-                str(count): self.reports[count].knee_concurrency
-                for count in self.replica_counts if count in self.reports},
-            "reports": {str(count): report.as_dict()
-                        for count, report in self.reports.items()},
-        }
-
-    def render(self) -> str:
-        speedups = self.speedups()
-        lines = [
-            f"Shard scaling sweep ({self.mode} replicas, "
-            f"batch_window={self.batch_window}, max_batch={self.max_batch}, "
-            f"{len(self.points)} hot / {len(self.cold_points)} cold points, "
-            f"1 cold in {self.cold_every})",
-            "",
-            f"{'replicas':>8s} {'best req/s':>11s} {'speedup':>8s} "
-            f"{'knee':>5s}",
-        ]
-        for count in self.replica_counts:
-            report = self.reports.get(count)
-            knee = report.knee_concurrency if report is not None else None
-            lines.append(
-                f"{count:8d} {self.best_throughput(count):11.1f} "
-                f"{speedups.get(count, 0.0):7.2f}x "
-                f"{'-' if knee is None else knee:>5}")
-        for count in self.replica_counts:
-            report = self.reports.get(count)
-            if report is not None:
-                lines.extend(["", f"--- {count} replica(s) ---",
-                              report.render()])
-        return "\n".join(lines)
-
-
-def shard_sweep(
-    replica_counts: Sequence[int] = (1, 2, 3),
-    levels: Sequence[int] = (2, 4, 8, 16, 24),
-    requests_per_client: int = 16,
-    points: Sequence[Tuple[str, str]] = SHARD_HOT_POINTS,
-    cold_points: Sequence[Tuple[str, str]] = SHARD_COLD_POINTS,
-    cold_every: int = 8,
-    scale: float = 0.05,
-    jobs: int = 1,
-    batch_window: float = 0.04,
-    max_batch: int = 4,
-    replica_mode: str = "subprocess",
-    cache_dir: Optional[str] = None,
-) -> ShardReport:
-    """Run the mixed hot/cold sweep at each replica count (one gateway each).
-
-    All counts share one disk-cache directory, so only the first sweep
-    pays the simulation cost; later counts warm every replica's memo
-    from the shared disk tier — exactly the deployment story the
-    gateway exists for.  The per-replica wave budget is the deliberate
-    bottleneck: a paced batcher admits at most ``max_batch`` points per
-    ``batch_window``, so a single replica saturates at that rate and
-    total throughput scales with the number of independent wave
-    pipelines the ring spreads the stream over — not with raw CPU.
-    """
-    from repro.service.gateway import launch_local_gateway
-
-    own_tempdir = None
-    if cache_dir is None:
-        own_tempdir = tempfile.TemporaryDirectory(prefix="repro-shard-")
-        cache_dir = own_tempdir.name
-    report = ShardReport(
-        replica_counts=list(replica_counts), levels=list(levels),
-        requests_per_client=requests_per_client,
-        points=[tuple(p) for p in points],
-        cold_points=[tuple(p) for p in cold_points],
-        cold_every=cold_every, mode=replica_mode, scale=scale,
-        batch_window=batch_window, max_batch=max_batch)
-    try:
-        for count in replica_counts:
-            print(f"shard sweep: spawning gateway with {count} "
-                  f"{replica_mode} replica(s)", flush=True)
-            gateway = launch_local_gateway(
-                count, mode=replica_mode, cache_dir=cache_dir, scale=scale,
-                jobs=jobs, batch_window=batch_window, max_batch=max_batch)
-            try:
-                report.reports[count] = run(
-                    gateway.host, gateway.port, levels=levels,
-                    requests_per_client=requests_per_client, points=points,
-                    cold_points=cold_points, cold_every=cold_every)
-            finally:
-                gateway.shutdown()
-            best = report.best_throughput(count)
-            print(f"shard sweep: {count} replica(s) -> {best:.1f} req/s",
-                  flush=True)
-    finally:
-        if own_tempdir is not None:
-            own_tempdir.cleanup()
     return report
 
 
@@ -574,53 +345,15 @@ def main(
     scale: Optional[float] = None,
     jobs: int = 1,
     out: Optional[str] = None,
-    replica_counts: Optional[Sequence[int]] = None,
-    cold_points: Sequence[Tuple[str, str]] = (),
-    cold_every: int = 0,
-    batch_window: Optional[float] = None,
-    max_batch: Optional[int] = None,
 ) -> int:
     """CLI entry (``repro-experiment loadtest``); returns an exit code.
 
     Without ``target`` (``host:port``), a private in-process service is
     spawned on a free port with a throwaway cache directory and drained
-    afterwards, so the load test is fully self-contained.  With
-    ``replica_counts``, the sweep instead runs :func:`shard_sweep`
-    against locally spawned gateways (mutually exclusive with
-    ``target``).  Exit codes: 0 success, 1 the test ran but failed
-    (including an unreachable target), 2 bad arguments.
+    afterwards, so the load test is fully self-contained.  Exit codes:
+    0 success, 1 the test ran but failed (including an unreachable
+    target), 2 bad arguments.
     """
-    if replica_counts:
-        if target is not None:
-            print("repro-experiment: error: --lt-replicas and --lt-target "
-                  "are mutually exclusive (the shard sweep spawns its own "
-                  "gateways)")
-            return 2
-        sweep_points = (SHARD_HOT_POINTS
-                        if tuple(tuple(p) for p in points) == DEFAULT_POINTS
-                        else points)
-        try:
-            report = shard_sweep(
-                replica_counts=replica_counts, levels=levels,
-                requests_per_client=requests_per_client, points=sweep_points,
-                cold_points=tuple(cold_points) or SHARD_COLD_POINTS,
-                cold_every=cold_every or 8,
-                scale=scale if scale is not None else 0.05, jobs=jobs,
-                batch_window=(batch_window
-                              if batch_window is not None else 0.04),
-                max_batch=max_batch if max_batch is not None else 4)
-        except (ServiceError, OSError) as exc:
-            print(f"repro-experiment: error: shard sweep failed: {exc}")
-            return 1
-        print(report.render())
-        if out is not None:
-            path = Path(out)
-            path.parent.mkdir(parents=True, exist_ok=True)
-            path.write_text(
-                json.dumps(report.as_dict(), indent=2, sort_keys=True) + "\n")
-            print(f"wrote {out}")
-        return 0 if report.ok else 1
-
     service = None
     tempdir = None
     if target is None:
@@ -629,10 +362,8 @@ def main(
         tempdir = tempfile.TemporaryDirectory(prefix="repro-loadtest-")
         service = ExperimentService(
             port=0, jobs=jobs, scale=scale if scale is not None else 0.05,
-            cache_dir=tempdir.name,
-            batch_window=(batch_window
-                          if batch_window is not None else 0.002),
-            max_batch=max_batch if max_batch is not None else 64)
+            cache_dir=tempdir.name, batch_window=SPAWNED_BATCH_WINDOW,
+            max_batch=SPAWNED_MAX_BATCH)
         host, port = service.start_in_thread()
         print(f"loadtest: spawned in-process service on {host}:{port}")
     else:
@@ -643,8 +374,7 @@ def main(
             return 2
     try:
         report = run(host, port, levels=levels,
-                     requests_per_client=requests_per_client, points=points,
-                     cold_points=cold_points, cold_every=cold_every)
+                     requests_per_client=requests_per_client, points=points)
     except (ServiceError, OSError) as exc:
         # A dead target (connection refused, reset, HTTP error on the
         # warm-up request) is a *result*, not a crash: report it

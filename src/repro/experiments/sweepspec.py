@@ -12,8 +12,8 @@ lifetime tracking, invariant auditing, an optional fault plan), and
   :func:`run_sweep`),
 * the CLI (``repro-experiment sweep SPEC.json``),
 * the service (``POST /v1/sweep`` — validated by
-  :func:`repro.service.protocol.parse_sweep_request`, journaled as a
-  durable job, shardable through the gateway).
+  :func:`repro.service.protocol.parse_sweep_request` and journaled as a
+  durable job).
 
 Validation is strict and typed: every rejected spec raises a
 :class:`SweepSpecError` subclass with a precise message, which the

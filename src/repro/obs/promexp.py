@@ -19,19 +19,9 @@ Mapping rules:
   always equals ``_count``.  ``_sum`` is the histogram's exact total.
 * HELP text and label values are escaped per the format's rules
   (backslash, newline, and — for label values — double quote).
-* Instrument names may carry an inline label set in brackets —
-  ``gateway.forwarded[replica=r0]`` — which renders as a labelled
-  sample of the ``repro_gateway_forwarded_total`` family.  This is how
-  the sharding gateway exports per-replica counters and latency
-  histograms from one flat :class:`MetricsRegistry`.
-
-:func:`merge_expositions` stitches several exposition documents into
-one, stamping extra labels onto every sample — the gateway uses it to
-re-export each replica's scrape under a ``replica="..."`` label next to
-its own metrics.
 
 :func:`validate_exposition` is a strict line-level parser used by the
-tests and the CI telemetry/shard smoke jobs to prove the endpoints emit
+tests and the CI telemetry smoke job to prove the endpoint emits
 well-formed exposition (including per-label-set bucket cumulativity).
 """
 
@@ -47,10 +37,8 @@ from repro.obs.metrics import LatencyHistogram, MetricsRegistry
 __all__ = [
     "CONTENT_TYPE",
     "histogram_buckets",
-    "merge_expositions",
     "prometheus_name",
     "render_prometheus",
-    "split_instrument_labels",
     "validate_exposition",
 ]
 
@@ -63,28 +51,6 @@ _SAMPLE = re.compile(
     r"(?:\{(?P<labels>.*)\})?"
     r" (?P<value>[^ ]+)(?: [0-9]+)?$"
 )
-
-
-_BRACKET_LABELS = re.compile(r"^(?P<base>[^\[\]]+)\[(?P<labels>[^\]]*)\]$")
-
-
-def split_instrument_labels(name: str) -> Tuple[str, Dict[str, str]]:
-    """Split ``base[k=v,...]`` into ``(base, labels)``.
-
-    Instrument names without a bracket suffix return ``(name, {})``, so
-    this is safe to apply to every registry entry.  Label values are
-    taken verbatim (no quoting inside the brackets).
-    """
-    match = _BRACKET_LABELS.match(name)
-    if match is None:
-        return name, {}
-    labels: Dict[str, str] = {}
-    for part in match.group("labels").split(","):
-        if not part:
-            continue
-        key, _, value = part.partition("=")
-        labels[key.strip()] = value.strip()
-    return match.group("base"), labels
 
 
 def prometheus_name(name: str, prefix: str = "repro") -> str:
@@ -138,31 +104,15 @@ def histogram_buckets(hist: LatencyHistogram) -> List[Tuple[float, int]]:
     return out
 
 
-def _render_labels(labels: Dict[str, str], le: Optional[str] = None) -> str:
-    """``{k="v",...}`` with ``le`` forced last, or ``""`` when empty."""
-    pairs = [(k, labels[k]) for k in sorted(labels) if k != "le"]
-    if le is not None:
-        pairs.append(("le", le))
-    elif "le" in labels:
-        pairs.append(("le", labels["le"]))
-    if not pairs:
-        return ""
-    inner = ",".join(f'{k}="{_escape_label_value(v)}"' for k, v in pairs)
-    return "{" + inner + "}"
-
-
 def render_prometheus(
     registry: MetricsRegistry,
     help_text: Optional[Dict[str, str]] = None,
 ) -> str:
     """The whole registry as one exposition document (trailing newline).
 
-    ``help_text`` optionally maps *original* (dot-namespaced, without
-    any bracket label suffix) instrument names to HELP strings;
-    instruments without an entry get a generic one naming their origin.
-    Instruments named ``base[k=v,...]`` collapse into one family per
-    ``base`` with the bracket content as sample labels (HELP/TYPE
-    emitted once, at the family's first sample).
+    ``help_text`` optionally maps *original* (dot-namespaced) instrument
+    names to HELP strings; instruments without an entry get a generic
+    one naming their origin.
     """
     helps = help_text or {}
     lines: List[str] = []
@@ -176,36 +126,29 @@ def render_prometheus(
         lines.append(f"# TYPE {metric} {kind}")
 
     for name, value in registry.counters.as_dict().items():
-        base, labels = split_instrument_labels(name)
-        metric = prometheus_name(base) + "_total"
+        metric = prometheus_name(name) + "_total"
         _declare(metric, "counter",
-                 helps.get(base, f"Counter {base} from the repro simulator."))
-        lines.append(
-            f"{metric}{_render_labels(labels)} {_format_value(value)}")
+                 helps.get(name, f"Counter {name} from the repro simulator."))
+        lines.append(f"{metric} {_format_value(value)}")
 
     for name, value in registry.gauges().items():
-        base, labels = split_instrument_labels(name)
-        metric = prometheus_name(base)
+        metric = prometheus_name(name)
         _declare(metric, "gauge",
-                 helps.get(base, f"Gauge {base} from the repro simulator."))
-        lines.append(
-            f"{metric}{_render_labels(labels)} {_format_value(value)}")
+                 helps.get(name, f"Gauge {name} from the repro simulator."))
+        lines.append(f"{metric} {_format_value(value)}")
 
     for name, hist in registry.histograms().items():
-        base, labels = split_instrument_labels(name)
-        metric = prometheus_name(base)
+        metric = prometheus_name(name)
         _declare(metric, "histogram",
-                 helps.get(base,
-                           f"Latency histogram {base} from the repro "
+                 helps.get(name,
+                           f"Latency histogram {name} from the repro "
                            f"simulator."))
-        label_text = _render_labels(labels)
         for bound, cumulative in histogram_buckets(hist):
             le = _escape_label_value(_format_value(bound))
-            bucket_labels = _render_labels(labels, le=le)
             lines.append(
-                f"{metric}_bucket{bucket_labels} {_format_value(cumulative)}")
-        lines.append(f"{metric}_sum{label_text} {_format_value(hist.total)}")
-        lines.append(f"{metric}_count{label_text} {_format_value(hist.count)}")
+                f'{metric}_bucket{{le="{le}"}} {_format_value(cumulative)}')
+        lines.append(f"{metric}_sum {_format_value(hist.total)}")
+        lines.append(f"{metric}_count {_format_value(hist.count)}")
 
     return "\n".join(lines) + "\n"
 
@@ -280,56 +223,6 @@ def _parse_document(text: str):
         families[family]["samples"].append(
             (name, labels, match.group("value")))
     return families
-
-
-def merge_expositions(
-    parts: List[Tuple[str, Dict[str, str]]],
-) -> str:
-    """Stitch several exposition documents into one, stamping labels.
-
-    ``parts`` is ``[(text, extra_labels), ...]``; every sample of a
-    part gets its ``extra_labels`` merged in (overriding same-named
-    sample labels, which a well-behaved scrape never carries).  The
-    gateway uses this to export each replica's ``/metrics`` scrape
-    under ``replica="..."`` next to its own families.  Families that
-    appear in several parts keep the first HELP text and must agree on
-    their TYPE (``ValueError`` otherwise).
-    """
-    merged: "Dict[str, Dict[str, object]]" = {}
-    order: List[str] = []
-    for text, extra in parts:
-        for family, record in _parse_document(text).items():
-            target = merged.get(family)
-            if target is None:
-                target = {"type": record["type"], "help": record["help"],
-                          "samples": []}
-                merged[family] = target
-                order.append(family)
-            else:
-                if (record["type"] is not None
-                        and target["type"] is not None
-                        and record["type"] != target["type"]):
-                    raise ValueError(
-                        f"family {family}: conflicting types "
-                        f"{target['type']!r} vs {record['type']!r}")
-                if target["type"] is None:
-                    target["type"] = record["type"]
-                if target["help"] is None:
-                    target["help"] = record["help"]
-            for name, labels, value in record["samples"]:
-                stamped = dict(labels)
-                if extra:
-                    stamped.update(extra)
-                target["samples"].append((name, stamped, value))
-    lines: List[str] = []
-    for family in order:
-        record = merged[family]
-        if record["help"] is not None:
-            lines.append(f"# HELP {family} {record['help']}")
-        lines.append(f"# TYPE {family} {record['type'] or 'untyped'}")
-        for name, labels, value in record["samples"]:
-            lines.append(f"{name}{_render_labels(labels)} {value}")
-    return "\n".join(lines) + "\n"
 
 
 def validate_exposition(text: str) -> Dict[str, Dict[str, object]]:

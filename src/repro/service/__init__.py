@@ -18,13 +18,10 @@ genuine misses reach the simulation pool.
   ``/healthz`` endpoints, and graceful drain on SIGTERM.
 * :mod:`repro.service.client` — :class:`ServiceClient`, a stdlib-only
   typed client (submit/poll/fetch and synchronous simulate).
-* :mod:`repro.service.http11` — the shared HTTP/1.1 framing both the
-  server and the gateway speak.
-* :mod:`repro.service.gateway` — :class:`ShardGateway`, a
-  consistent-hash front door that shards the point-fingerprint
-  keyspace across N replicas (``repro-experiment serve --replicas N``),
-  health-checks and evicts/re-admits them, and hedges in-flight points
-  to the rebuilt ring so a killed replica costs zero client failures.
+* :mod:`repro.service.http11` — the server's HTTP/1.1 framing and
+  the response-body digest the client verifies.
+* :mod:`repro.service.jobs` — :class:`JobJournal`, the crash-safe
+  journal behind durable ``/v1/jobs``.
 
 Start a server with ``repro-experiment serve --port 8000 --jobs 4
 --cache-dir ~/.cache/repro``, or embed one in-process::
@@ -41,7 +38,6 @@ Start a server with ``repro-experiment serve --port 8000 --jobs 4
 
 from __future__ import annotations
 
-from repro.service.chaosnet import ChaosProxy, NetFaultPlan
 from repro.service.client import (
     HealthReport,
     JobReply,
@@ -51,17 +47,6 @@ from repro.service.client import (
     SimulateReply,
     TransportError,
     parse_target,
-)
-from repro.service.gateway import (
-    HashRing,
-    Replica,
-    ReplicaError,
-    ShardGateway,
-    launch_local_gateway,
-    replicas_from_urls,
-    run_gateway,
-    spawn_subprocess_replicas,
-    spawn_thread_replicas,
 )
 from repro.service.jobs import JobJournal
 from repro.service.protocol import (
@@ -74,30 +59,19 @@ from repro.service.protocol import (
 from repro.service.server import ExperimentService
 
 __all__ = [
-    "ChaosProxy",
     "DESIGNS_BY_NAME",
     "ExperimentService",
-    "HashRing",
     "HealthReport",
     "JobJournal",
     "JobReply",
-    "NetFaultPlan",
     "PointReply",
     "PointSpec",
     "ProtocolError",
-    "Replica",
-    "ReplicaError",
     "ServiceClient",
     "ServiceError",
-    "ShardGateway",
     "SimulateReply",
     "TransportError",
     "design_slug",
-    "launch_local_gateway",
     "parse_target",
-    "replicas_from_urls",
     "resolve_design",
-    "run_gateway",
-    "spawn_subprocess_replicas",
-    "spawn_thread_replicas",
 ]

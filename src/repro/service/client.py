@@ -24,8 +24,7 @@ context instead of leaking raw ``ConnectionResetError`` /
 Resilience knobs (all default off/conservative):
 
 * ``deadline_ms`` — every request carries ``X-Deadline-Ms``; the server
-  answers 504 instead of computing work nobody will wait for, and the
-  gateway decrements the budget across hops.
+  answers 504 instead of computing work nobody will wait for.
 * ``retries`` / ``retry_budget_s`` — jittered-exponential-backoff
   retries for *idempotent* requests on transport errors, 429 sheds
   (honoring ``Retry-After``), and 503s, bounded by a wall-clock budget.
@@ -42,7 +41,7 @@ from dataclasses import dataclass, field
 from typing import Any, Dict, Iterable, List, Optional, Union
 
 from repro.obs.trace_context import TraceContext
-from repro.service.http11 import body_digest
+from repro.service.http11 import DIGEST_HEADER, body_digest
 
 __all__ = [
     "HealthReport",
@@ -297,7 +296,7 @@ class ServiceClient:
             self.close()
             partial = getattr(exc, "partial", b"")
             raise TransportError(phase, len(partial or b""), cause=exc)
-        digest = response.getheader("X-Content-Digest")
+        digest = response.getheader(DIGEST_HEADER)
         if digest is not None and digest != body_digest(raw):
             # The bytes arrived but are not what the server sent: treat
             # exactly like a dead connection, never like data.

@@ -1,26 +1,23 @@
-"""Minimal hand-rolled HTTP/1.1 framing shared by the service and gateway.
+"""Minimal hand-rolled HTTP/1.1 framing for the experiment service.
 
-:class:`~repro.service.server.ExperimentService` (PR 5) carries its
-traffic over a deliberately small HTTP/1.1 subset — one request line,
+:class:`~repro.service.server.ExperimentService` carries its traffic
+over a deliberately small HTTP/1.1 subset — one request line,
 lower-cased headers, ``Content-Length`` bodies, keep-alive by default —
 implemented directly on :mod:`asyncio` streams so the service stays
-stdlib-only.  The sharding gateway (PR 7) speaks the same dialect on
-both sides: it *parses* requests from clients and *issues* requests to
-replicas.  This module is that shared dialect, factored out so the two
-servers cannot drift apart:
+stdlib-only:
 
-* :func:`read_request` / :func:`write_response` — the server side,
-  exactly as ``ExperimentService`` has always framed it.
-* :func:`format_request` / :func:`read_response` — the client side the
-  gateway uses to forward requests over pooled keep-alive connections.
+* :func:`read_request` / :func:`write_response` — the server side of
+  one exchange.
+* :func:`body_digest` — the ``X-Content-Digest`` every response
+  carries, which :class:`~repro.service.client.ServiceClient` checks so
+  a body corrupted in transit is a transport error, never data.
 * :class:`Raw` — a pass-through (non-JSON) response body, e.g. the
-  Prometheus text exposition or a replica response forwarded verbatim.
+  Prometheus text exposition.
 
 Limits are intentionally conservative: bodies are capped at
 :data:`MAX_BODY_BYTES` and header blocks at :data:`MAX_HEADER_LINES`
 lines; anything outside the subset reads as a malformed message
-(``None`` from :func:`read_request`, :class:`ValueError` from
-:func:`read_response`) and the connection is dropped.
+(``None`` from :func:`read_request`) and the connection is dropped.
 """
 
 from __future__ import annotations
@@ -37,14 +34,11 @@ __all__ = [
     "REASONS",
     "Raw",
     "body_digest",
-    "format_request",
     "read_request",
-    "read_response",
-    "verify_body_digest",
     "write_response",
 ]
 
-#: Largest request or response body either server will frame.
+#: Largest request body the server will frame.
 MAX_BODY_BYTES = 8 * 1024 * 1024
 #: Most header lines read before the message is declared malformed.
 MAX_HEADER_LINES = 100
@@ -65,18 +59,6 @@ DIGEST_HEADER = "x-content-digest"
 def body_digest(body: bytes) -> str:
     """``sha256=<hex>`` digest value for a response body."""
     return "sha256=" + hashlib.sha256(body).hexdigest()
-
-
-def verify_body_digest(headers: Dict[str, str], body: bytes) -> bool:
-    """True unless ``headers`` carries a digest that does not match ``body``.
-
-    Responses without the header verify trivially (the peer predates the
-    digest or is not ours); a present-but-wrong digest is the signature
-    of in-transit corruption and must be treated as a transport error,
-    never surfaced as data.
-    """
-    claimed = headers.get(DIGEST_HEADER)
-    return claimed is None or claimed == body_digest(body)
 
 
 class Raw:
@@ -141,7 +123,7 @@ async def write_response(writer: asyncio.StreamWriter, status: int,
     """Serialize ``payload`` (JSON unless :class:`Raw`) and write it.
 
     Every response carries an ``X-Content-Digest`` of its body so the
-    client and gateway can reject bodies corrupted in transit.
+    client can reject bodies corrupted in transit.
     ``extra_headers`` (e.g. ``Retry-After`` on a 429) are emitted
     verbatim after the standard block.
     """
@@ -164,54 +146,3 @@ async def write_response(writer: asyncio.StreamWriter, status: int,
     ).encode("ascii")
     writer.write(head + body)
     await writer.drain()
-
-
-def format_request(method: str, path: str, host: str, port: int,
-                   body: bytes = b"",
-                   headers: Optional[Dict[str, str]] = None) -> bytes:
-    """Frame one client-side request the way :func:`read_request` expects."""
-    extra = "".join(f"{name}: {value}\r\n"
-                    for name, value in (headers or {}).items())
-    host_text = f"[{host}]" if ":" in host else host
-    head = (
-        f"{method} {path} HTTP/1.1\r\n"
-        f"Host: {host_text}:{port}\r\n"
-        f"Content-Length: {len(body)}\r\n"
-        f"{extra}"
-        f"\r\n"
-    ).encode("ascii")
-    return head + body
-
-
-async def read_response(
-    reader: asyncio.StreamReader,
-) -> Tuple[int, Dict[str, str], bytes]:
-    """Read one response; raises on EOF or a malformed message.
-
-    Returns ``(status, headers, body)``.  Raises
-    :class:`asyncio.IncompleteReadError` when the peer closed
-    mid-message (the gateway's cue to retry on a fresh connection) and
-    :class:`ValueError` when the frame itself is malformed.
-    """
-    line = await reader.readline()
-    if not line:
-        raise asyncio.IncompleteReadError(b"", None)
-    try:
-        _version, status_text, _reason = line.decode("ascii").split(None, 2)
-        status = int(status_text)
-    except (UnicodeDecodeError, ValueError):
-        raise ValueError(f"malformed status line: {line!r}")
-    headers = await _read_headers(reader)
-    if headers is None:
-        raise ValueError("header block too large")
-    length = headers.get("content-length")
-    body = b""
-    if length is not None:
-        try:
-            n = int(length)
-        except ValueError:
-            raise ValueError(f"bad Content-Length: {length!r}")
-        if not 0 <= n <= MAX_BODY_BYTES:
-            raise ValueError(f"Content-Length out of range: {n}")
-        body = await reader.readexactly(n)
-    return status, headers, body

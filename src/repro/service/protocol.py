@@ -38,7 +38,6 @@ from repro.system.designs import (
     DESIGNS_BY_NAME,
     MMUDesign,
     PRESET_DESIGNS,
-    design_from_dict,
     design_slug,
 )
 from repro.system.run import SimulationResult
@@ -51,7 +50,6 @@ __all__ = [
     "ERROR_DRAINING",
     "ERROR_INTERNAL",
     "ERROR_NOT_FOUND",
-    "ERROR_NO_REPLICAS",
     "ERROR_OVERLOADED",
     "ERROR_SWEEP_FAILED",
     "PointSpec",
@@ -71,8 +69,6 @@ ERROR_NOT_FOUND = "not_found"
 ERROR_DRAINING = "draining"
 ERROR_SWEEP_FAILED = "sweep_failed"
 ERROR_INTERNAL = "internal_error"
-#: The sharding gateway ran out of healthy replicas for a request.
-ERROR_NO_REPLICAS = "no_replicas"
 #: Admission control shed the request: accepting it would push the
 #: server past its ``max_inflight`` point budget.  Answered with 429
 #: and a ``Retry-After`` hint.
@@ -143,23 +139,11 @@ def parse_deadline_header(headers: Mapping[str, str]) -> Optional[float]:
 
 
 def resolve_design(name: Any) -> MMUDesign:
-    """Look up a design by canonical name or slug; 400 on anything else.
-
-    An inline design object (the :func:`~repro.system.designs.design_to_dict`
-    shape) is also accepted — the gateway forwards non-preset sweep
-    designs to replicas in that form.
-    """
-    if isinstance(name, dict):
-        try:
-            return design_from_dict(name)
-        except ValueError as exc:
-            raise ProtocolError(
-                400, ERROR_BAD_REQUEST, f"invalid inline design: {exc}")
+    """Look up a design by canonical name or slug; 400 on anything else."""
     if not isinstance(name, str):
         raise ProtocolError(
             400, ERROR_BAD_REQUEST,
-            f"point 'design' must be a string or design object, "
-            f"got {type(name).__name__}")
+            f"point 'design' must be a string, got {type(name).__name__}")
     design = DESIGNS_BY_NAME.get(name) or DESIGNS_BY_NAME.get(design_slug(name))
     if design is None:
         known = sorted({design_slug(d.name) for d in PRESET_DESIGNS})

@@ -468,8 +468,7 @@ class ExperimentService:
             # and the server saturated on per-request overhead instead
             # of its wave budget.  Holding the next wave until the
             # window elapses makes max_batch/batch_window a real
-            # admission cap (what the sharded loadtest measures);
-            # an idle server is unaffected.
+            # admission cap; an idle server is unaffected.
             cooldown = wave_started + self.batch_window - loop.time()
             if cooldown > 0:
                 await asyncio.sleep(cooldown)
@@ -640,7 +639,6 @@ class ExperimentService:
             except Exception:
                 pass
 
-    # Shared HTTP/1.1 framing (also spoken by the sharding gateway).
     _read_request = staticmethod(http11.read_request)
 
     @staticmethod

@@ -679,13 +679,12 @@ def compile_virtual_access(h):
         if line is not None:
             # Non-inclusive hierarchy: L1 write hit, L2 miss — allocate
             # in the write-back L2 via the translated miss path.
-            return miss_path(cu_id, asid, vpn, vline, line_index, True,
-                             t_hit, fill_l1=False)
+            return miss_path(cu_id, asid, vpn, line_index, t_hit)
 
         # Whole-hierarchy miss → translation is finally needed.  The
-        # common (leading-page, no-invalidation) spine of ``_miss_path``
-        # is inlined here; synonym replays and shootdowns bail out to
-        # the methods, which own that logic.
+        # common (leading-page, no-invalidation) miss spine is inlined
+        # here; synonym replays and shootdowns bail out to the methods,
+        # which own that logic.
         h._n_l2_misses += 1
         if timeline is not None:
             timeline.record("vc.l2_misses", t_hit)
@@ -798,7 +797,7 @@ def compile_virtual_access(h):
                 execute_invalidation(order, t_fbt)
             if check.status == "synonym":
                 return synonym_replay(cu_id, asid, vpn, check, ppn,
-                                      line_index, is_write, t_fbt, True)
+                                      line_index, is_write, t_fbt)
         if is_write:
             # Full-line store: allocate in the write-back L2, no fetch.
             fill_l2(asid, vpn, line_index, ppn, True, permissions, t_fbt)

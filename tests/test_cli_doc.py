@@ -47,3 +47,26 @@ def test_doc_mentions_every_flag():
             continue  # -h/--help is implicit, not documented in the table
         for option in action.option_strings:
             assert option in committed, f"{option} missing from docs/CLI.md"
+
+
+def test_every_option_is_read_by_the_cli():
+    """A flag whose ``dest`` ``cli.py`` never reads as ``args.<dest>`` is dead.
+
+    Removing a feature must remove its flags too; this catches a flag
+    left behind that parses but no longer does anything.
+    """
+    import argparse
+    import ast
+
+    from repro.experiments import cli
+
+    tree = ast.parse(Path(cli.__file__).read_text(encoding="utf-8"))
+    read = {node.attr for node in ast.walk(tree)
+            if isinstance(node, ast.Attribute)
+            and isinstance(node.value, ast.Name) and node.value.id == "args"}
+    dead = sorted(
+        action.option_strings[0] for action in cli.build_parser()._actions
+        if action.option_strings
+        and not isinstance(action, argparse._HelpAction)
+        and action.dest not in read)
+    assert not dead, f"options never read as args.<dest>: {dead}"

@@ -1,4 +1,4 @@
-"""Overload, deadline, and supervision behaviour of server and gateway."""
+"""Overload and deadline behaviour of the server."""
 
 import http.client
 import json
@@ -8,7 +8,6 @@ import time
 import pytest
 
 from repro.service.client import ServiceClient, ServiceError
-from repro.service.gateway import launch_local_gateway
 from repro.service.server import ExperimentService
 
 SCALE = 0.05
@@ -173,126 +172,3 @@ def test_nonpositive_deadline_header_is_504(tmp_path):
             conn.close()
     finally:
         service.shutdown()
-
-
-# -- gateway passthrough --------------------------------------------------
-
-def test_gateway_passes_shed_through_without_hedging(tmp_path):
-    gateway = launch_local_gateway(
-        1, mode="thread", cache_dir=str(tmp_path / "cache"), scale=SCALE,
-        batch_window=0.5, max_inflight=1, health_interval=0.2)
-    try:
-        thread, errors = _occupy(gateway)
-        time.sleep(0.15)
-        with ServiceClient(gateway.host, gateway.port) as client:
-            with pytest.raises(ServiceError) as excinfo:
-                client.simulate([OTHER_POINT])
-            assert excinfo.value.status == 429
-            assert excinfo.value.code == "overloaded"
-        counters = gateway.obs.metrics.snapshot()["counters"]
-        assert counters.get("gateway.sheds", 0) >= 1
-        # Shedding is backpressure, not failure: the replica keeps its
-        # place in the pool.
-        assert gateway.replicas[0].healthy
-        assert gateway.replicas[0].evictions == 0
-        thread.join(timeout=120)
-        assert not errors, errors
-    finally:
-        gateway.shutdown()
-
-
-def test_gateway_passes_deadline_through(tmp_path):
-    gateway = launch_local_gateway(
-        1, mode="thread", cache_dir=str(tmp_path / "cache"), scale=SCALE,
-        health_interval=0.2)
-    try:
-        with ServiceClient(gateway.host, gateway.port) as client:
-            with pytest.raises(ServiceError) as excinfo:
-                client.simulate([THIRD_POINT], deadline_ms=2.0)
-            assert excinfo.value.status == 504
-            assert excinfo.value.code == "deadline_exceeded"
-        assert gateway.replicas[0].healthy  # 504 is not a replica fault
-    finally:
-        gateway.shutdown()
-
-
-# -- supervision ----------------------------------------------------------
-
-def _wait_until(predicate, timeout=30.0, interval=0.05):
-    deadline = time.monotonic() + timeout
-    while time.monotonic() < deadline:
-        if predicate():
-            return True
-        time.sleep(interval)
-    return predicate()
-
-
-def test_supervisor_respawns_dead_thread_replica(tmp_path):
-    gateway = launch_local_gateway(
-        2, mode="thread", cache_dir=str(tmp_path / "cache"), scale=SCALE,
-        supervise=True, health_interval=0.05, probe_failure_threshold=2,
-        respawn_backoff_base=0.05, respawn_backoff_max=0.5,
-        flap_window=0.0)
-    try:
-        victim = gateway.replicas[0]
-        old_port = victim.port
-        victim.service.shutdown()
-
-        assert _wait_until(lambda: victim.respawns >= 1 and victim.healthy)
-        assert victim.port != old_port or victim.service is not None
-        assert not victim.given_up
-
-        with ServiceClient(gateway.host, gateway.port,
-                           timeout=120.0, retries=3) as client:
-            reply = client.simulate([POINT, OTHER_POINT])
-            assert len(reply.points) == 2
-            health = client.healthz()
-            assert health.pool["replicas_healthy"] == 2
-        counters = gateway.obs.metrics.snapshot()["counters"]
-        assert counters.get("gateway.respawns", 0) >= 1
-    finally:
-        gateway.shutdown()
-
-
-def test_flap_detector_gives_up_and_alarms(tmp_path):
-    gateway = launch_local_gateway(
-        2, mode="thread", cache_dir=str(tmp_path / "cache"), scale=SCALE,
-        supervise=True, health_interval=0.05, probe_failure_threshold=2,
-        respawn_backoff_base=0.02, respawn_backoff_max=0.1,
-        flap_window=3600.0, flap_threshold=2)
-    try:
-        victim = gateway.replicas[0]
-        victim.service.shutdown()
-        assert _wait_until(lambda: victim.respawns >= 1 and victim.healthy)
-
-        victim.service.shutdown()  # second rapid death trips the alarm
-        assert _wait_until(lambda: victim.given_up)
-        assert victim.respawns == 1  # no respawn after giving up
-        counters = gateway.obs.metrics.snapshot()["counters"]
-        assert counters.get("gateway.alarms.flapping", 0) >= 1
-
-        # The gateway degrades to the surviving replica instead of dying.
-        with ServiceClient(gateway.host, gateway.port,
-                           timeout=120.0, retries=3) as client:
-            reply = client.simulate([POINT])
-            assert reply.points[0].cycles > 0
-            health = client.healthz()
-            assert health.pool["replicas_healthy"] == 1
-            assert health.raw["replicas"][victim.id]["given_up"] is True
-    finally:
-        gateway.shutdown()
-
-
-def test_eviction_needs_consecutive_probe_failures(tmp_path):
-    gateway = launch_local_gateway(
-        2, mode="thread", cache_dir=str(tmp_path / "cache"), scale=SCALE,
-        health_interval=0.05, probe_failure_threshold=4)
-    try:
-        victim = gateway.replicas[0]
-        victim.service.shutdown()
-        # With no client traffic, only probes can evict — and that takes
-        # probe_failure_threshold consecutive failures.
-        assert _wait_until(lambda: not victim.healthy)
-        assert victim.probe_failures >= 4
-    finally:
-        gateway.shutdown()

@@ -35,6 +35,7 @@ from repro.service.protocol import (
     parse_simulate_request,
 )
 from repro.system.config import SoCConfig
+from repro.system.designs import design_to_dict
 
 SCALE = 0.05
 POINT = {"workload": "bfs", "design": "baseline-512"}
@@ -224,6 +225,17 @@ def test_unknown_workload_is_400(client):
     assert exc.value.status == 400
     assert exc.value.code == "bad_request"
     assert "known workloads" in exc.value.message
+
+
+def test_inline_design_object_is_400(client):
+    # /v1/simulate names designs by preset name or slug only; inline
+    # design objects belong to SweepSpec (/v1/sweep).
+    inline = design_to_dict(DESIGNS_BY_NAME["Baseline 512"])
+    with pytest.raises(ServiceError) as exc:
+        client.simulate([{"workload": "bfs", "design": inline}])
+    assert exc.value.status == 400
+    assert exc.value.code == "bad_request"
+    assert "must be a string" in exc.value.message
 
 
 def test_unknown_route_is_404_and_wrong_method_is_405(client):

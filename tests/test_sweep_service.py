@@ -1,9 +1,8 @@
-"""``/v1/sweep``: validation to 400, durable jobs, gateway sharding.
+"""``/v1/sweep``: validation to 400 and durable jobs.
 
 A SweepSpec posted to the service becomes a *job*: journaled before the
-202 (so a crashed server replays it), validated by the same strict
-parser the CLI uses (so a bad spec is a typed 400, never a half-run),
-and shardable through the consistent-hash gateway unchanged.
+202 (so a crashed server replays it) and validated by the same strict
+parser the CLI uses (so a bad spec is a typed 400, never a half-run).
 """
 
 from __future__ import annotations
@@ -19,7 +18,6 @@ import pytest
 
 from repro.experiments.sweepspec import SweepSpec
 from repro.service.client import ServiceClient, ServiceError
-from repro.service.gateway import launch_local_gateway
 from repro.service.jobs import JobJournal
 from repro.service.server import ExperimentService
 
@@ -164,27 +162,6 @@ def test_journaled_sweep_replays_after_crash(tmp_path):
     jobs = JobJournal(tmp_path / "jobs.rpck").replay()
     assert [j.job_id for j in jobs] == ["sweep-resume"]
     assert jobs[0].finished and jobs[0].status == "done"
-
-
-# -- the gateway shards a sweep like any other job ------------------------
-
-def test_gateway_runs_sweep_across_replicas(tmp_path):
-    gw = launch_local_gateway(
-        2, mode="thread", cache_dir=str(tmp_path / "cache"), scale=SCALE,
-        batch_window=0.002, health_interval=0.1)
-    try:
-        with ServiceClient(gw.host, gw.port) as client:
-            reply = client.wait(client.sweep(SPEC), timeout=120.0)
-            assert [(p.workload, p.design) for p in reply.points] == \
-                [("bfs", "IDEAL MMU"), ("bfs", "Baseline 512")]
-            assert all(p.cycles > 0 for p in reply.points)
-
-            with pytest.raises(ServiceError) as exc:
-                client.sweep({**SPEC, "designs": ["nope"]})
-            assert exc.value.status == 400
-            assert "unknown design 'nope'" in str(exc.value)
-    finally:
-        gw.shutdown()
 
 
 # -- the shipped example --------------------------------------------------

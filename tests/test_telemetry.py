@@ -564,11 +564,7 @@ def test_loadtest_cli_rejects_bad_targets_with_exit_2(capsys):
     err = capsys.readouterr().out + capsys.readouterr().err
     assert "missing ':PORT'" in err
     assert main(["loadtest", "--lt-target", "[::1]:notaport"]) == 2
-    assert main(["loadtest", "--lt-target", "127.0.0.1:1",
-                 "--lt-replicas", "1"]) == 2
-    assert main(["loadtest", "--lt-replicas", "one,two"]) == 2
-    assert main(["loadtest", "--lt-cold-every", "-1"]) == 2
-    assert main(["loadtest", "--lt-cold-points", "not-a-point"]) == 2
+    assert main(["loadtest", "--lt-points", "not-a-point"]) == 2
 
 
 def test_loadtest_warmup_failure_exits_1_not_traceback(capsys):
@@ -622,32 +618,6 @@ def test_loadtest_against_live_service(tmp_path):
     assert as_dict["levels"][0]["p99_ms"] == pytest.approx(
         report.levels[0].p99_ms, rel=1e-2)
     assert "req/s" in report.render()
-
-
-def test_shard_sweep_scales_replica_counts_over_shared_cache(tmp_path):
-    hot = [("bfs", "baseline-512"), ("kmeans", "vc-with-opt"),
-           ("pagerank", "ideal-mmu"), ("hotspot", "baseline-512")]
-    cold = [("nw", "baseline-512"), ("pathfinder", "vc-w-o-opt")]
-    report = loadtest.shard_sweep(
-        replica_counts=(1, 2), levels=(1, 2), requests_per_client=2,
-        points=hot, cold_points=cold, cold_every=4, scale=SCALE,
-        batch_window=0.005, max_batch=2, replica_mode="thread",
-        cache_dir=str(tmp_path / "cache"))
-    assert report.ok
-    assert sorted(report.reports) == [1, 2]
-    for count, sub in report.reports.items():
-        assert sub.cold_every == 4
-        assert all(lv.failures == 0 for lv in sub.levels)
-        assert report.best_throughput(count) > 0
-    speedups = report.speedups()
-    assert speedups[1] == pytest.approx(1.0)
-    assert speedups[2] > 0
-    rendered = report.render()
-    assert "replicas" in rendered and "speedup" in rendered
-    as_dict = report.as_dict()
-    assert as_dict["replica_counts"] == [1, 2]
-    assert as_dict["speedup_vs_first"]["1"] == pytest.approx(1.0)
-    assert "2" in as_dict["knee_concurrency"]
 
 
 # -- dashboard ------------------------------------------------------------
